@@ -20,7 +20,7 @@ from pathlib import Path
 
 from mpmath import mp, mpc, mpf
 
-from .conjugates import ClassFieldJob, RunResult, build_extended_classes, cartan_order, run
+from .conjugates import ClassFieldJob, RunResult, cartan_order, run
 from .errors import (
     CrossCheckError,
     NonConvergenceError,

@@ -319,25 +319,50 @@ def _klein_ctx(r1: Fraction, r2: Fraction, z: mpc, cfg: PrecisionConfig) -> mpc:
     r1_m = mpf(r1.numerator) / r1.denominator
     r2_m = mpf(r2.numerator) / r2.denominator
     qz = mp.expjpi(2 * (r1_m * z + r2_m))
+    qz_inv = 1 / qz
     prefactor = mp.expjpi(r2_m * (r1_m - 1)) * mp.expjpi(z * r1_m * (r1_m - 1))
-    value = prefactor * (1 - qz)
+    num = prefactor * (1 - qz)
+    den = mpc(1)
     res = _resolution()
     qn = q
     abs_qn = absq
     n = 1
-    abs_r1 = abs(r1_m)
-    while True:
-        # bound covers every factor from n on; exponents there are >= n - |r1|
-        tail = 8 * abs_qn * absq ** (-abs_r1) / (1 - absq)
-        if tail < res:
-            break
-        value *= (1 - qn * qz) * (1 - qn / qz) / (1 - qn) ** 2
+    # bound covers every factor from n on; exponents there are >= n - |r1|
+    tail_scale = 8 * absq ** (-abs(r1_m)) / (1 - absq)
+    while abs_qn * tail_scale >= res:
+        num *= (1 - qn * qz) * (1 - qn * qz_inv)
+        den *= (1 - qn) ** 2
         qn *= q
         abs_qn *= absq
         n += 1
         if n > cfg.max_terms:
             raise NonConvergenceError("klein-form exceeded max_terms")
-    return value
+    return num / den
+
+
+def _klein_quotient_ctx(p: tuple, s: tuple, w: mpc, cfg: PrecisionConfig) -> mpc:
+    """k_p(w) / k_s(w) with both q-products run in the fundamental domain.
+
+    With w* = M w, the law k_r(M^-1 w*) = (c'w* + d')^-1 k_(r M^-1)(w*)
+    (Kubert-Lang K2) moves each parameter pair, and the automorphy factors
+    cancel in the quotient.  K3, k_(a+b) = (-1)^(b1 b2 + b1 + b2)
+    e^(-pi i (b1 a2 - b2 a1)) k_a for integral b, then brings each pair into
+    [0,1) x [0,1); it never becomes integral, since M is invertible over Z.
+    """
+    w_star, word = fundamental_domain_reduce(w)
+    m_inv = word.matrix().inverse()
+    half_turns = Fraction(0)  # the root of unity, as a multiple of pi
+    forms = []
+    for sign, (r1, r2) in ((1, p), (-1, s)):
+        a1 = r1 * m_inv.a + r2 * m_inv.c
+        a2 = r1 * m_inv.b + r2 * m_inv.d
+        b1, b2 = math.floor(a1), math.floor(a2)
+        a1, a2 = a1 - b1, a2 - b2
+        half_turns += sign * (b1 * b2 + b1 + b2 - (b1 * a2 - b2 * a1))
+        forms.append(_klein_ctx(a1, a2, w_star, cfg))
+    half_turns %= 2
+    phase = mp.expjpi(mpf(half_turns.numerator) / half_turns.denominator)
+    return phase * forms[0] / forms[1]
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +400,10 @@ def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
 
 
 def eval_klein(r1, r2, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Klein form k_(r1, r2)(tau) for rational parameters."""
+    """Klein form k_(r1, r2)(tau) for rational parameters, by the raw
+    q-product at tau itself: no argument reduction, so slow (or
+    non-convergent) near the real line.  It is the independent reference for
+    the reduced klein-quotient evaluator."""
     r1 = Fraction(r1)
     r2 = Fraction(r2)
     with mp.workprec(cfg.working_bits):
@@ -497,8 +525,8 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
 
     def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
         with mp.workprec(cfg.working_bits):
-            z = _as_mpc(tau) * level
-            value = _klein_ctx(p1, p2, z, cfg) / _klein_ctx(q1, q2, z, cfg)
+            w = _as_mpc(tau) * level
+            value = _klein_quotient_ctx((p1, p2), (q1, q2), w, cfg)
         return APComplex.from_mpc(value, cfg.target_bits)
 
     return ModularFunctionSpec(
@@ -508,7 +536,8 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
         evaluator=evaluator,
         description=(
             f"quotient of Klein forms at ({p1},{p2}) and ({q1},{q2}), "
-            f"arguments scaled by {level}"
+            f"argument scaled by {level} and reduced to the fundamental "
+            f"domain, parameters moved by the transformation law"
         ),
     )
 

@@ -36,7 +36,12 @@ from classpoly.modgroup import (
     lift_sl2_mod_n,
     mobius_apply,
 )
-from classpoly.polyalgebra import IntPolynomial, eval_poly, power_check
+from classpoly.polyalgebra import (
+    IntPolynomial,
+    eval_poly,
+    power_check,
+    round_coefficients,
+)
 from classpoly.quadforms import CMOrder, reduced_forms
 
 from _oracles import random_principal_congruence
@@ -261,6 +266,22 @@ def test_run_complex_generator_doubles_the_degree():
     with mp.workprec(result.precision_bits_used):
         base = next(d for d in result.data if d.identity_class)
         assert abs(eval_poly(result.irreducible, base.value)) < mpf(2) ** -40
+
+
+def test_level_seven_klein_quotient_rounds():
+    """Level 7 through the reduced Klein-quotient evaluator: all 85
+    coefficients of the degree-84 product round cleanly at 256 bits."""
+    job = ClassFieldJob.create(-84, 7, "klein-quotient:1/7,0|2/7,0", 256)
+    data = compute_conjugates(job)
+    assert len(data) == 84
+    coeffs, shortcut = assemble_poly(data, job)
+    assert shortcut is True
+    polynomial, residual = round_coefficients(coeffs, fail_above=mpf(2) ** -64)
+    assert len(polynomial.coeffs) == 85
+    assert residual < mpf(2) ** -64
+    assert polynomial.is_monic()
+    # a quotient of Siegel functions takes unit values
+    assert abs(polynomial.coeffs[0]) == 1
 
 
 def test_run_escalates_until_the_power_structure_resolves():

@@ -372,6 +372,61 @@ def test_klein_quotient_evaluator_is_the_scaled_ratio():
         assert abs(got - eval_rr(tau, CFG192).to_mpc()) < mpf(2) ** -170
 
 
+# Values of N*tau near the real line, where the raw q-products are slow.
+LOW_SCALED_POINTS = [
+    mpc("0.37", "0.01"),
+    mpc("-1.28", "0.05"),
+    mpc("2.13", "0.17"),
+    mpc("0.5", "0.3"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, level",
+    [
+        ("klein-quotient:1/5,1/5|2/5,0", 5),
+        ("klein-quotient:1/7,0|3/7,2/7", 7),
+        ("klein-quotient:-3/7,1/7|1/2,1/3", 42),
+    ],
+)
+def test_reduced_klein_quotient_matches_the_raw_products(name, level):
+    """The reduced evaluator moves the parameters by the transformation law;
+    the ratio of raw q-products at N*tau, with a large budget, must agree."""
+    spec = catalog_lookup(name)
+    assert spec.level == level
+    top, bottom = (
+        [Fraction(s) for s in pair.split(",")]
+        for pair in name.split(":")[1].split("|")
+    )
+    big = PrecisionConfig(target_bits=192, max_terms=2_000_000)
+    for w in LOW_SCALED_POINTS:
+        with mp.workprec(53):
+            tau = w / level
+        with mp.workprec(300):
+            w_exact = level * tau
+        got = spec.evaluate(tau, CFG192).to_mpc()
+        k_top = eval_klein(*top, w_exact, big).to_mpc()
+        k_bottom = eval_klein(*bottom, w_exact, big).to_mpc()
+        with mp.workprec(300):
+            want = k_top / k_bottom
+            assert abs(got - want) / abs(want) < mpf(2) ** -180
+
+
+def test_reduced_klein_quotient_converges_where_the_raw_product_cannot():
+    """At Im(5 tau) = 0.003 a 64-factor budget suffices in the fundamental
+    domain, while the raw product would need thousands of factors."""
+    tight = PrecisionConfig(target_bits=128, max_terms=64)
+    spec = catalog_lookup("klein-quotient:1/5,0|2/5,0")
+    with mp.workprec(53):
+        tau = mpc("0.41", "0.003") / 5
+    got = spec.evaluate(tau, tight).to_mpc()
+    with pytest.raises(NonConvergenceError):
+        eval_klein(Fraction(1, 5), Fraction(0), 5 * tau, tight)
+    # the continued-fraction value, reduced by its own S/T rules
+    with mp.workprec(220):
+        assert abs(got - eval_rr(tau, CFG128).to_mpc()) < mpf(2) ** -100
+
+
 def test_same_value_across_precisions():
     tau = mpc("0.27", "1.33")
     with mp.workprec(320):
