@@ -42,7 +42,6 @@ from .modfunc import (
     eval_klein,
     eval_rr,
     eval_rr_product,
-    verify_transformation_rules,
 )
 from .modgroup import (
     CosetTable,

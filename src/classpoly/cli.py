@@ -4,23 +4,23 @@ Subcommands: compute (the full pipeline), validate (identity checks at a
 point), table (class data only, no evaluation), catalog (known functions).
 Exit codes: 0 success, 2 invalid input, 3 precision exhausted, 4 internal
 cross-check failure.
-
-Coset tables are cached as JSON keyed by level when a cache directory is
-given via --cache-dir or the CLASSPOLY_CACHE_DIR environment variable; the
-cache only ever changes speed, never results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from pathlib import Path
 
 from mpmath import mp, mpc, mpf
 
-from .conjugates import ClassFieldJob, RunResult, cartan_order, run
+from .conjugates import (
+    ClassFieldJob,
+    RunResult,
+    cartan_order,
+    run,
+    walk_grid,
+)
 from .errors import (
     CrossCheckError,
     NonConvergenceError,
@@ -36,34 +36,8 @@ from .modfunc import (
     check_icosahedral,
     check_klein_relation,
 )
-from .modgroup import CosetTable, enumerate_cosets
+from .modgroup import enumerate_cosets
 from .quadforms import CMOrder, reduced_forms
-
-CACHE_ENV_VAR = "CLASSPOLY_CACHE_DIR"
-
-
-# ----------------------------------------------------------------------
-# coset table cache
-# ----------------------------------------------------------------------
-
-def _load_coset_table(level: int, tie_break: str, cache_dir, no_cache: bool) -> CosetTable:
-    if no_cache or tie_break != "min":
-        return enumerate_cosets(level, tie_break)
-    directory = cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if not directory:
-        return enumerate_cosets(level)
-    path = Path(directory) / f"cosets_level{level}.json"
-    if path.is_file():
-        try:
-            table = CosetTable.loads(path.read_text())
-            if table.level == level and table.tie_break == "min":
-                return table
-        except (ValueError, KeyError, json.JSONDecodeError):
-            pass  # stale or foreign file; rebuild below
-    table = enumerate_cosets(level)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(table.dumps())
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +150,7 @@ def _cmd_compute(args) -> int:
         function=catalog_lookup(args.function),
         precision=PrecisionConfig(target_bits=args.precision),
     )
-    table = _load_coset_table(args.level, args.tie_break, args.cache_dir, args.no_cache)
-    result = run(job, table=table)
+    result = run(job, table=enumerate_cosets(args.level, args.tie_break))
     if args.format == "json":
         payload = {
             "input": _input_json(job),
@@ -292,17 +265,11 @@ def _cmd_table(args) -> int:
     order = CMOrder.from_discriminant(args.disc)
     if args.disc in (-3, -4):
         raise ValueError("discriminants -3 and -4 are excluded")
-    table = _load_coset_table(args.level, args.tie_break, args.cache_dir, args.no_cache)
+    table = enumerate_cosets(args.level, args.tie_break)
     forms = reduced_forms(order.disc)
     cartan = cartan_order(order, args.level)
-    grid = []
-    passing = 0
-    for i, q_form in enumerate(forms):
-        for k, gamma in enumerate(table.reps):
-            transformed = q_form.transform(gamma)
-            passes = _coprime(transformed.a, args.level)
-            passing += passes
-            grid.append((i, k, transformed, passes))
+    grid = list(walk_grid(forms, table, args.level))
+    passing = sum(p for *_, p in grid)
     if len(forms) * cartan.quotient != passing:
         raise CrossCheckError(
             f"grid count {passing} disagrees with {len(forms)} x {cartan.quotient}"
@@ -326,7 +293,7 @@ def _cmd_table(args) -> int:
                             "form": list(f.coefficients()),
                             "passes_filter": bool(p),
                         }
-                        for (i, k, f, p) in grid
+                        for (i, k, _, f, p) in grid
                     ],
                     "class_count": passing,
                 },
@@ -346,18 +313,12 @@ def _cmd_table(args) -> int:
             f" = {cartan.quotient}\n"
         )
         w(f"grid ({len(grid)} pairs, {passing} pass the filter):\n")
-        for (i, k, f, p) in grid:
+        for (i, k, _, f, p) in grid:
             w(
                 f"  (i={i}, k={k}) {str(f):30s}"
                 f" {'pass' if p else 'skip (leading coeff shares a factor)'}\n"
             )
     return 0
-
-
-def _coprime(a: int, n: int) -> int:
-    from math import gcd
-
-    return 1 if gcd(a, n) == 1 else 0
 
 
 # ----------------------------------------------------------------------
@@ -406,11 +367,7 @@ def _cmd_catalog(args) -> int:
 # parser and entry point
 # ----------------------------------------------------------------------
 
-def _add_cache_flags(sub) -> None:
-    sub.add_argument("--cache-dir", default=None, help="coset table cache directory")
-    sub.add_argument(
-        "--no-cache", action="store_true", help="never read or write the cache"
-    )
+def _add_tie_break_flag(sub) -> None:
     sub.add_argument(
         "--tie-break",
         choices=("min", "max"),
@@ -439,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--format", choices=("text", "json"), default="text")
     compute.add_argument("--emit-conjugates", action="store_true")
     compute.add_argument("--emit-table", action="store_true")
-    _add_cache_flags(compute)
+    _add_tie_break_flag(compute)
     compute.set_defaults(func=_cmd_compute)
 
     validate = subparsers.add_parser(
@@ -456,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--disc", type=int, required=True)
     table.add_argument("--level", type=int, required=True)
     table.add_argument("--format", choices=("text", "json"), default="text")
-    _add_cache_flags(table)
+    _add_tie_break_flag(table)
     table.set_defaults(func=_cmd_table)
 
     catalog = subparsers.add_parser("catalog", help="list evaluable functions")

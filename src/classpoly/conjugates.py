@@ -112,22 +112,28 @@ class ClassFieldJob:
         )
 
 
-def build_extended_classes(order: CMOrder, level: int,
-                           table: CosetTable | None = None) -> list:
-    """All (i, k) pairs whose transformed form has leading coefficient
-    invertible mod the level; these hit every extended class exactly once."""
-    if table is None:
-        table = enumerate_cosets(level)
-    reps = []
-    for i, q_form in enumerate(reduced_forms(order.disc)):
+def walk_grid(forms: list, table: CosetTable, level: int):
+    """Every (form, coset) cell of the grid, in order: (i, k, gamma, the
+    transformed form, whether its leading coefficient is invertible mod the
+    level)."""
+    for i, q_form in enumerate(forms):
         for k, gamma in enumerate(table.reps):
             transformed = q_form.transform(gamma)
-            if gcd(transformed.a, level) != 1:
-                continue
-            reps.append(
-                ExtendedClassRep(i=i, k=k, gamma=gamma, form=transformed)
-            )
-    return reps
+            yield i, k, gamma, transformed, gcd(transformed.a, level) == 1
+
+
+def build_extended_classes(order: CMOrder, level: int,
+                           table: CosetTable | None = None) -> list:
+    """The grid cells that pass the filter; these hit every extended class
+    exactly once."""
+    if table is None:
+        table = enumerate_cosets(level)
+    return [
+        ExtendedClassRep(i=i, k=k, gamma=gamma, form=transformed)
+        for i, k, gamma, transformed, passes
+        in walk_grid(reduced_forms(order.disc), table, level)
+        if passes
+    ]
 
 
 def cartan_order(order: CMOrder, level: int) -> CartanOrder:
@@ -192,29 +198,23 @@ class _PreparedClass:
 
 
 def _prepare_classes(order: CMOrder, level: int, table: CosetTable) -> list:
+    forms = reduced_forms(order.disc)
+    eval_points = [q_form.cm_point().neg_conjugate() for q_form in forms]
     principal = order.principal_form()
     prepared = []
-    identity_hits = 0
-    for i, q_form in enumerate(reduced_forms(order.disc)):
-        eval_point = q_form.cm_point().neg_conjugate()
-        for k, gamma in enumerate(table.reps):
-            transformed = q_form.transform(gamma)
-            if gcd(transformed.a, level) != 1:
-                continue
-            rep = ExtendedClassRep(i=i, k=k, gamma=gamma, form=transformed)
-            gl_rows, sl_rows = _conjugate_rows(rep, order, level)
-            lifted = lift_sl2_mod_n(sl_rows, level)
-            is_identity = q_form == principal and _in_pm_gamma1(gamma, level)
-            identity_hits += is_identity
-            prepared.append(
-                _PreparedClass(
-                    rep=rep,
-                    alpha=gl_rows,
-                    lifted=lifted,
-                    eval_point=eval_point,
-                    identity_class=is_identity,
-                )
+    for rep in build_extended_classes(order, level, table):
+        gl_rows, sl_rows = _conjugate_rows(rep, order, level)
+        prepared.append(
+            _PreparedClass(
+                rep=rep,
+                alpha=gl_rows,
+                lifted=lift_sl2_mod_n(sl_rows, level),
+                eval_point=eval_points[rep.i],
+                identity_class=(forms[rep.i] == principal
+                                and _in_pm_gamma1(rep.gamma, level)),
             )
+        )
+    identity_hits = sum(item.identity_class for item in prepared)
     if identity_hits != 1:
         raise CrossCheckError(
             f"expected exactly one identity class, found {identity_hits}"
@@ -256,6 +256,23 @@ def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
     return data
 
 
+def _escalate(job: ClassFieldJob, attempt):
+    """Call attempt(cfg, escalations) at the job's precision, and again at
+    each escalated precision after a failure that more precision can cure."""
+    cfg = job.precision
+    last = None
+    for escalations in range(job.precision.max_escalations + 1):
+        try:
+            return attempt(cfg, escalations)
+        except (NonConvergenceError, RoundingFailureError, PowerCheckError) as exc:
+            last = exc
+            cfg = cfg.escalated()
+    raise PrecisionExhaustedError(
+        f"no certified polynomial after {job.precision.max_escalations} "
+        f"precision escalations (last failure: {last})"
+    ) from last
+
+
 def compute_conjugates(job: ClassFieldJob,
                        table: CosetTable | None = None) -> list:
     """Evaluate the function once per extended class.  Escalates precision on
@@ -264,18 +281,9 @@ def compute_conjugates(job: ClassFieldJob,
     if table is None:
         table = enumerate_cosets(job.level)
     prepared = _prepare_classes(job.order, job.level, table)
-    cfg = job.precision
-    last = None
-    for _ in range(job.precision.max_escalations + 1):
-        try:
-            return _evaluate_classes(prepared, job.function, cfg)
-        except NonConvergenceError as exc:
-            last = exc
-            cfg = cfg.escalated()
-    raise PrecisionExhaustedError(
-        f"conjugate evaluation failed after {job.precision.max_escalations} "
-        f"escalations"
-    ) from last
+    return _escalate(
+        job, lambda cfg, _: _evaluate_classes(prepared, job.function, cfg)
+    )
 
 
 def _identity_value(data: list) -> APComplex:
@@ -349,42 +357,34 @@ def run(job: ClassFieldJob, table: CosetTable | None = None) -> RunResult:
             f"quotient = {expected}"
         )
 
-    cfg = job.precision
-    last = None
-    for attempt in range(job.precision.max_escalations + 1):
-        try:
-            data = _evaluate_classes(prepared, job.function, cfg)
-            coeffs, shortcut = assemble_poly(data, job)
-            threshold = mpf(2) ** (-(cfg.target_bits // 4))
-            polynomial, residual = round_coefficients(coeffs, fail_above=threshold)
-            irreducible = squarefree_part(polynomial)
-            exponent = power_check(polynomial, irreducible)
-            base_value = _identity_value(data)
-            with mp.workprec(cfg.working_bits):
-                value_residual = abs(eval_poly(irreducible, base_value))
-            if value_residual >= threshold:
-                raise RoundingFailureError(value_residual, threshold)
-            return RunResult(
-                job=job,
-                table=table,
-                reduced_form_count=len(forms),
-                coset_count=table.size(),
-                class_count=len(prepared),
-                cartan=cartan,
-                data=data,
-                polynomial=polynomial,
-                irreducible=irreducible,
-                exponent=exponent,
-                max_rounding_residual=residual,
-                value_residual=value_residual,
-                reality_shortcut=shortcut,
-                precision_bits_used=cfg.target_bits,
-                escalations=attempt,
-            )
-        except (NonConvergenceError, RoundingFailureError, PowerCheckError) as exc:
-            last = exc
-            cfg = cfg.escalated()
-    raise PrecisionExhaustedError(
-        f"no certified polynomial after {job.precision.max_escalations} "
-        f"precision escalations (last failure: {last})"
-    ) from last
+    def certify(cfg: PrecisionConfig, escalations: int) -> RunResult:
+        data = _evaluate_classes(prepared, job.function, cfg)
+        coeffs, shortcut = assemble_poly(data, job)
+        threshold = mpf(2) ** (-(cfg.target_bits // 4))
+        polynomial, residual = round_coefficients(coeffs, fail_above=threshold)
+        irreducible = squarefree_part(polynomial)
+        exponent = power_check(polynomial, irreducible)
+        base_value = _identity_value(data)
+        with mp.workprec(cfg.working_bits):
+            value_residual = abs(eval_poly(irreducible, base_value))
+        if value_residual >= threshold:
+            raise RoundingFailureError(value_residual, threshold)
+        return RunResult(
+            job=job,
+            table=table,
+            reduced_form_count=len(forms),
+            coset_count=table.size(),
+            class_count=len(prepared),
+            cartan=cartan,
+            data=data,
+            polynomial=polynomial,
+            irreducible=irreducible,
+            exponent=exponent,
+            max_rounding_residual=residual,
+            value_residual=value_residual,
+            reality_shortcut=shortcut,
+            precision_bits_used=cfg.target_bits,
+            escalations=escalations,
+        )
+
+    return _escalate(job, certify)

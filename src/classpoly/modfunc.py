@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from mpmath import mp, mpc, mpf
 
@@ -192,45 +192,11 @@ def _replay_value(word, value: mpc) -> mpc:
     return value
 
 
-_RR_RULES_OK: Optional[bool] = None
-
-_RULE_CHECK_POINTS = [(-45 + 10 * k, 90 + 9 * k) for k in range(10)]  # /100
-
-
-def verify_transformation_rules(force: bool = False) -> bool:
-    """Check the translation and inversion rules for the level-5 continued
-    fraction against the raw q-product at fixed sample points.
-
-    The result is cached; argument reduction is only used when this passes.
-    """
-    global _RR_RULES_OK
-    if _RR_RULES_OK is not None and not force:
-        return _RR_RULES_OK
-    cfg = PrecisionConfig(target_bits=160)
-    ok = True
-    with mp.workprec(cfg.working_bits):
-        zeta = _zeta5()
-        phi = _phi()
-        tol = mpf(2) ** -120
-        for re_part, im_part in _RULE_CHECK_POINTS:
-            z = mpc(mpf(re_part) / 100, mpf(im_part) / 100)
-            v = _rr_product_ctx(z, cfg)
-            if abs(_rr_product_ctx(z + 1, cfg) - zeta * v) > tol:
-                ok = False
-                break
-            w = _rr_product_ctx(-1 / z, cfg)
-            if abs(w - (1 - phi * v) / (phi + v)) > tol:
-                ok = False
-                break
-    _RR_RULES_OK = ok
-    return ok
-
-
 _DIRECT_IM_THRESHOLD = 0.5
 
 
 def _rr_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
-    if z.imag > _DIRECT_IM_THRESHOLD or not verify_transformation_rules():
+    if z.imag > _DIRECT_IM_THRESHOLD:
         return _rr_product_ctx(z, cfg)
     z_star, word = fundamental_domain_reduce(z)
     return _replay_value(word, _rr_product_ctx(z_star, cfg))
@@ -306,9 +272,11 @@ def _j_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _e4_ctx(z_star, cfg) ** 3 / disc
 
 
-def _klein_ctx(r1: Fraction, r2: Fraction, z: mpc, cfg: PrecisionConfig) -> mpc:
-    """Klein form at (r1, r2), q-product formula.  Requires -1 < r1 < 1 and
-    (r1, r2) not both integral."""
+def _klein_numerator_ctx(r1: Fraction, r2: Fraction, z: mpc,
+                         cfg: PrecisionConfig) -> mpc:
+    """Klein form at (r1, r2) times prod (1-q^n)^2: the q-product without
+    the denominator, which Klein forms at the same point share.  Requires
+    -1 < r1 < 1 and (r1, r2) not both integral."""
     if not (-1 < r1 < 1):
         raise ValueError("first Klein parameter must lie in (-1, 1)")
     if r1.denominator == 1 and r2.denominator == 1:
@@ -322,7 +290,6 @@ def _klein_ctx(r1: Fraction, r2: Fraction, z: mpc, cfg: PrecisionConfig) -> mpc:
     qz_inv = 1 / qz
     prefactor = mp.expjpi(r2_m * (r1_m - 1)) * mp.expjpi(z * r1_m * (r1_m - 1))
     num = prefactor * (1 - qz)
-    den = mpc(1)
     res = _resolution()
     qn = q
     abs_qn = absq
@@ -331,13 +298,12 @@ def _klein_ctx(r1: Fraction, r2: Fraction, z: mpc, cfg: PrecisionConfig) -> mpc:
     tail_scale = 8 * absq ** (-abs(r1_m)) / (1 - absq)
     while abs_qn * tail_scale >= res:
         num *= (1 - qn * qz) * (1 - qn * qz_inv)
-        den *= (1 - qn) ** 2
         qn *= q
         abs_qn *= absq
         n += 1
         if n > cfg.max_terms:
             raise NonConvergenceError("klein-form exceeded max_terms")
-    return num / den
+    return num
 
 
 def _klein_quotient_ctx(p: tuple, s: tuple, w: mpc, cfg: PrecisionConfig) -> mpc:
@@ -348,6 +314,8 @@ def _klein_quotient_ctx(p: tuple, s: tuple, w: mpc, cfg: PrecisionConfig) -> mpc
     cancel in the quotient.  K3, k_(a+b) = (-1)^(b1 b2 + b1 + b2)
     e^(-pi i (b1 a2 - b2 a1)) k_a for integral b, then brings each pair into
     [0,1) x [0,1); it never becomes integral, since M is invertible over Z.
+    Both forms then sit at w*, so their shared prod (1-q^n)^2 denominator
+    cancels too and only the numerators are computed.
     """
     w_star, word = fundamental_domain_reduce(w)
     m_inv = word.matrix().inverse()
@@ -359,7 +327,7 @@ def _klein_quotient_ctx(p: tuple, s: tuple, w: mpc, cfg: PrecisionConfig) -> mpc
         b1, b2 = math.floor(a1), math.floor(a2)
         a1, a2 = a1 - b1, a2 - b2
         half_turns += sign * (b1 * b2 + b1 + b2 - (b1 * a2 - b2 * a1))
-        forms.append(_klein_ctx(a1, a2, w_star, cfg))
+        forms.append(_klein_numerator_ctx(a1, a2, w_star, cfg))
     half_turns %= 2
     phase = mp.expjpi(mpf(half_turns.numerator) / half_turns.denominator)
     return phase * forms[0] / forms[1]
@@ -403,11 +371,13 @@ def eval_klein(r1, r2, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APCompl
     """Klein form k_(r1, r2)(tau) for rational parameters, by the raw
     q-product at tau itself: no argument reduction, so slow (or
     non-convergent) near the real line.  It is the independent reference for
-    the reduced klein-quotient evaluator."""
+    the reduced klein-quotient evaluator, and divides by the full
+    prod (1-q^n)^2 that the quotient cancels."""
     r1 = Fraction(r1)
     r2 = Fraction(r2)
     with mp.workprec(cfg.working_bits):
-        value = _klein_ctx(r1, r2, _as_mpc(tau), cfg)
+        z = _as_mpc(tau)
+        value = _klein_numerator_ctx(r1, r2, z, cfg) / _eta_product_ctx(z, cfg) ** 2
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -441,8 +411,8 @@ def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
         r_value = _rr_ctx(z, cfg)
-        k1 = _klein_ctx(Fraction(1, 5), Fraction(0), 5 * z, cfg)
-        k2 = _klein_ctx(Fraction(2, 5), Fraction(0), 5 * z, cfg)
+        k1 = _klein_numerator_ctx(Fraction(1, 5), Fraction(0), 5 * z, cfg)
+        k2 = _klein_numerator_ctx(Fraction(2, 5), Fraction(0), 5 * z, cfg)
         residual = abs(r_value - k1 / k2) / abs(r_value)
     return residual
 
@@ -464,21 +434,10 @@ class ModularFunctionSpec:
     level: int
     has_rational_coefficients: bool
     evaluator: Callable = field(compare=False)
-    t_rule: Optional[Callable] = field(default=None, compare=False)
-    s_rule: Optional[Callable] = field(default=None, compare=False)
     description: str = field(default="", compare=False)
 
     def evaluate(self, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
         return self.evaluator(tau, cfg)
-
-
-def _rr_t_rule(value):
-    return _zeta5() * value
-
-
-def _rr_s_rule(value):
-    phi = _phi()
-    return (1 - phi * value) / (phi + value)
 
 
 _BASE_CATALOG = (
@@ -487,8 +446,6 @@ _BASE_CATALOG = (
         level=5,
         has_rational_coefficients=True,
         evaluator=eval_rr,
-        t_rule=_rr_t_rule,
-        s_rule=_rr_s_rule,
         description="level-5 continued-fraction value r(tau)",
     ),
     ModularFunctionSpec(

@@ -57,7 +57,7 @@ def golden_cli():
             [
                 "compute", "--disc", "-52", "--level", "5",
                 "--function", "rogers-ramanujan", "--precision", "320",
-                "--format", "json", "--no-cache",
+                "--format", "json",
             ]
         )
     elapsed = time.monotonic() - started

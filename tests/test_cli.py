@@ -1,11 +1,13 @@
-"""Command-line interface: payload schemas, caching, exit codes."""
+"""Command-line interface: payload schemas, class grid, exit codes."""
 
 import json
 
 import pytest
 
 import classpoly.cli as cli
+from classpoly.conjugates import build_extended_classes
 from classpoly.errors import CrossCheckError, PoleError, PrecisionExhaustedError
+from classpoly.quadforms import CMOrder
 
 from frozen_values import GOLDEN_MINUS_52_LEVEL_5_DESC
 
@@ -15,7 +17,6 @@ GOLDEN_ARGS = [
     "--level", "5",
     "--function", "rogers-ramanujan",
     "--precision", "320",
-    "--no-cache",
 ]
 
 
@@ -108,48 +109,6 @@ def test_compute_tie_break_flag_changes_nothing(capsys):
 
 
 # ----------------------------------------------------------------------
-# caching
-# ----------------------------------------------------------------------
-
-def test_cache_file_round_trip(capsys, tmp_path):
-    args = GOLDEN_ARGS[:-1] + ["--format", "json", "--cache-dir", str(tmp_path)]
-    rc1, out1, _ = run_cli(capsys, *args)
-    cache_file = tmp_path / "cosets_level5.json"
-    assert rc1 == 0
-    assert cache_file.is_file()
-    stamp = cache_file.read_text()
-    rc2, out2, _ = run_cli(capsys, *args)
-    assert rc2 == 0
-    assert out1 == out2
-    assert cache_file.read_text() == stamp  # reused, not rewritten
-
-
-def test_cache_recovers_from_a_stale_file(capsys, tmp_path):
-    cache_file = tmp_path / "cosets_level5.json"
-    cache_file.write_text("{not json")
-    args = GOLDEN_ARGS[:-1] + ["--format", "json", "--cache-dir", str(tmp_path)]
-    rc, out, _ = run_cli(capsys, *args)
-    assert rc == 0
-    assert json.loads(cache_file.read_text())["level"] == 5
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path))
-    rc, _, _ = run_cli(capsys, "table", "--disc", "-52", "--level", "5")
-    assert rc == 0
-    assert (tmp_path / "cosets_level5.json").is_file()
-
-
-def test_no_cache_leaves_no_files(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path))
-    rc, _, _ = run_cli(
-        capsys, "table", "--disc", "-52", "--level", "5", "--no-cache",
-    )
-    assert rc == 0
-    assert list(tmp_path.iterdir()) == []
-
-
-# ----------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------
 
@@ -178,7 +137,7 @@ def test_validate_rejects_bad_points(capsys):
 
 def test_table_json(capsys):
     rc, out, _ = run_cli(
-        capsys, "table", "--disc", "-52", "--level", "5", "--no-cache",
+        capsys, "table", "--disc", "-52", "--level", "5",
         "--format", "json",
     )
     assert rc == 0
@@ -191,7 +150,7 @@ def test_table_json(capsys):
 def test_table_reports_filtered_cells(capsys):
     # at level 2 the forms with even leading coefficient drop out
     rc, out, _ = run_cli(
-        capsys, "table", "--disc", "-23", "--level", "2", "--no-cache",
+        capsys, "table", "--disc", "-23", "--level", "2",
         "--format", "json",
     )
     assert rc == 0
@@ -200,6 +159,19 @@ def test_table_reports_filtered_cells(capsys):
     skipped = [cell for cell in data["grid"] if not cell["passes_filter"]]
     assert len(skipped) == len(data["grid"]) - 3
     assert all(cell["form"][0] % 2 == 0 for cell in skipped)
+
+
+@pytest.mark.parametrize("disc, level", [(-23, 2), (-52, 5)])
+def test_table_passing_cells_are_the_extended_classes(capsys, disc, level):
+    rc, out, _ = run_cli(
+        capsys, "table", "--disc", str(disc), "--level", str(level),
+        "--format", "json",
+    )
+    assert rc == 0
+    grid = json.loads(out)["class_data"]["grid"]
+    passing = [(c["i"], c["k"], c["form"]) for c in grid if c["passes_filter"]]
+    reps = build_extended_classes(CMOrder.from_discriminant(disc), level)
+    assert passing == [(r.i, r.k, list(r.form.coefficients())) for r in reps]
 
 
 def test_catalog_lists_functions(capsys):
@@ -226,7 +198,7 @@ def test_exit_code_for_invalid_inputs(capsys):
          "klein-quotient:1/5,1/5|2/5,0"),
     ]
     for case in cases:
-        rc, _, err = run_cli(capsys, *case, "--no-cache")
+        rc, _, err = run_cli(capsys, *case)
         assert rc == 2, case
         assert err.startswith("error:"), case
 

@@ -350,8 +350,10 @@ def _constant_spec(value) -> ModularFunctionSpec:
     )
 
 
-def _failing_spec() -> ModularFunctionSpec:
+def _failing_spec(calls: list) -> ModularFunctionSpec:
+    """Never converges; records the target bits of every call."""
     def evaluate(tau, cfg):
+        calls.append(cfg.target_bits)
         raise NonConvergenceError("synthetic")
 
     return ModularFunctionSpec(
@@ -377,11 +379,26 @@ def test_precision_exhaustion_on_permanent_nonconvergence():
     job = ClassFieldJob(
         order=CMOrder.from_discriminant(-52),
         level=1,
-        function=_failing_spec(),
+        function=_failing_spec([]),
         precision=PrecisionConfig(target_bits=64),
     )
     with pytest.raises(PrecisionExhaustedError):
         run(job)
+
+
+@pytest.mark.parametrize("max_escalations", [0, 2])
+def test_compute_conjugates_escalates_then_gives_up(max_escalations):
+    calls = []
+    job = ClassFieldJob(
+        order=CMOrder.from_discriminant(-52),
+        level=1,
+        function=_failing_spec(calls),
+        precision=PrecisionConfig(target_bits=64, max_escalations=max_escalations),
+    )
+    with pytest.raises(PrecisionExhaustedError) as info:
+        compute_conjugates(job)
+    assert isinstance(info.value.__cause__, NonConvergenceError)
+    assert calls == [64 * 2 ** e for e in range(max_escalations + 1)]
 
 
 def test_precision_exhaustion_on_non_integer_values():

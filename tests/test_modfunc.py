@@ -25,7 +25,6 @@ from classpoly.modfunc import (
     eval_klein,
     eval_rr,
     eval_rr_product,
-    verify_transformation_rules,
 )
 
 from _oracles import (
@@ -131,20 +130,40 @@ def test_rr_translation_rule():
             assert abs(v5 - v) < mpf(2) ** -180
 
 
+def _rr_t_rule(v):
+    """r(tau + 1) in terms of v = r(tau)."""
+    return mp.expjpi(mpf(2) / 5) * v
+
+
+def _rr_s_rule(v):
+    """r(-1/tau) in terms of v = r(tau)."""
+    phi = (1 + mp.sqrt(5)) / 2
+    return (1 - phi * v) / (phi + v)
+
+
 def test_rr_inversion_rule_from_catalog():
     spec = catalog_lookup("rogers-ramanujan")
     with mp.workprec(256):
         for tau in SAMPLE_POINTS[:3]:
-            v = eval_rr(tau, CFG192).to_mpc()
-            w = eval_rr(-1 / tau, CFG192).to_mpc()
-            assert abs(w - spec.s_rule(v)) < mpf(2) ** -175
+            v = spec.evaluate(tau, CFG192).to_mpc()
+            w = spec.evaluate(-1 / tau, CFG192).to_mpc()
+            assert abs(w - _rr_s_rule(v)) < mpf(2) ** -175
             # the rule is an involution
-            assert abs(spec.s_rule(spec.s_rule(v)) - v) < mpf(2) ** -175
+            assert abs(_rr_s_rule(_rr_s_rule(v)) - v) < mpf(2) ** -175
 
 
-def test_transformation_rules_self_check():
-    assert verify_transformation_rules() is True
-    assert verify_transformation_rules(force=True) is True
+def test_rr_rules_hold_for_the_raw_product():
+    """The translation and inversion rules that eval_rr replays, checked
+    against the unreduced q-product on both sides."""
+    cfg = PrecisionConfig(target_bits=160)
+    tol = mpf(2) ** -120
+    with mp.workprec(cfg.working_bits):
+        for k in range(10):
+            z = mpc(mpf(-45 + 10 * k) / 100, mpf(90 + 9 * k) / 100)
+            v = eval_rr_product(z, cfg).to_mpc()
+            assert abs(eval_rr_product(z + 1, cfg).to_mpc() - _rr_t_rule(v)) < tol
+            assert abs(eval_rr_product(-1 / z, cfg).to_mpc() - _rr_s_rule(v)) < tol
+            assert abs(_rr_s_rule(_rr_s_rule(v)) - v) < tol
 
 
 def test_rr_replay_agrees_with_direct_product_near_real_axis():
