@@ -57,8 +57,6 @@ from .modgroup import (
 from .polyalgebra import (
     IntPolynomial,
     eval_poly,
-    exact_divide,
-    poly_gcd,
     power_check,
     round_coefficients,
     squarefree_part,

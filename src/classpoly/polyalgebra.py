@@ -1,13 +1,13 @@
 """Exact arithmetic on integer polynomials.
 
-Coefficients are Python ints stored in ascending degree order; rational
-intermediate steps (gcd, exact division) run on fractions.Fraction so no
-precision is ever lost.
+Coefficients are Python ints stored in ascending degree order, and every
+step is exact integer arithmetic.  The squarefree part comes from a gcd
+modulo a large prime that is verified by exact division over the integers,
+so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from mpmath import mp, mpc, mpf
@@ -171,90 +171,86 @@ def round_coefficients(values, fail_above=None):
     return IntPolynomial(ints), max_residual
 
 
-def _fraction_coeffs(p: IntPolynomial):
-    return [Fraction(c) for c in p.coeffs]
+# Exponents e of the Mersenne primes 2^e - 1, from 2^61 - 1 upward.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
+)
 
 
-def _frac_degree(cs) -> int:
-    d = len(cs) - 1
-    while d >= 0 and cs[d] == 0:
-        d -= 1
-    return d
+def _divmod_monic(p: IntPolynomial, d: IntPolynomial):
+    """Quotient and remainder of p by the monic d over Z[x]."""
+    rem = list(p.coeffs)
+    dd = d.degree
+    quot = [0] * (len(rem) - dd)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        factor = rem[top]
+        if factor:
+            shift = top - dd
+            quot[shift] = factor
+            for k in range(dd + 1):
+                rem[shift + k] -= factor * d.coeffs[k]
+    return IntPolynomial(quot), IntPolynomial(rem[:dd])
 
 
-def _frac_mod(a, b):
-    """Remainder of a by b over the rationals (lists, ascending)."""
-    a = a[:]
-    da, db = _frac_degree(a), _frac_degree(b)
-    lead = b[db]
-    while da >= db:
-        factor = a[da] / lead
-        shift = da - db
-        for k in range(db + 1):
-            a[k + shift] -= factor * b[k]
-        da = _frac_degree(a)
-    return a[: da + 1]
+def _monic_mod(p: IntPolynomial, prime: int) -> IntPolynomial:
+    inverse = pow(p.leading(), -1, prime)
+    return IntPolynomial(c * inverse % prime for c in p.coeffs)
 
 
-def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Greatest common divisor in Z[x], primitive with positive leading
-    coefficient.  gcd(p, 0) is the primitive positive part of p."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return q.primitive_positive()
-    if q.is_zero():
-        return p.primitive_positive()
-    a, b = _fraction_coeffs(p), _fraction_coeffs(q)
-    while _frac_degree(b) >= 0:
-        a, b = b, _frac_mod(a, b)
-    # clear denominators, then strip content
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = IntPolynomial(int(c * lcm) for c in a)
-    return ints.primitive_positive()
-
-
-def exact_divide(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
-    """Quotient p / d when the division is exact over Z[x]; raises otherwise."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    a = _fraction_coeffs(p)
-    b = _fraction_coeffs(d)
-    da, db = _frac_degree(a), _frac_degree(b)
-    if da < db:
-        raise ValueError("division is not exact")
-    out = [Fraction(0)] * (da - db + 1)
-    lead = b[db]
-    while da >= db:
-        factor = a[da] / lead
-        out[da - db] = factor
-        shift = da - db
-        for k in range(db + 1):
-            a[k + shift] -= factor * b[k]
-        da = _frac_degree(a)
-    if da >= 0:
-        raise ValueError("division is not exact")
-    if any(c.denominator != 1 for c in out):
-        raise ValueError("division is not exact over the integers")
-    return IntPolynomial(int(c) for c in out)
+def _gcd_mod(p: IntPolynomial, q: IntPolynomial, prime: int) -> IntPolynomial:
+    """Monic gcd over Z/prime, residues in [0, prime), of p (monic, so
+    nonzero there) and q.  Division by a monic divisor commutes with the
+    reduction mod prime, so each remainder is taken over Z, then reduced."""
+    a, b = p, IntPolynomial(c % prime for c in q.coeffs)
+    while not b.is_zero():
+        b = _monic_mod(b, prime)
+        a, b = b, IntPolynomial(c % prime for c in _divmod_monic(a, b)[1].coeffs)
+    return _monic_mod(a, prime)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """For monic p = g^ell with g squarefree (the pipeline shape), returns g.
 
-    In general returns p divided by gcd(p, p'), the squarefree kernel."""
+    In general returns p divided by gcd(p, p'), the squarefree kernel.  The
+    gcd is taken modulo a Mersenne prime P; only integers are used.  Its
+    degree bounds that of the integer gcd from above, because p is monic, so
+    degree 0 proves p squarefree and p is returned unchanged.  Otherwise the
+    gcd is lifted to residues in (-P/2, P/2) and accepted only when it
+    divides both p and p' exactly over Z[x]: a common divisor at least as
+    large as the gcd is the gcd.  A rejected lift moves on to the next
+    prime.  The first prime exceeds twice the Mignotte bound
+    2^(deg p) * ||p||_2 on the coefficients of any factor of p, so one prime
+    suffices unless it divides a resultant of the factors of p.  Raises
+    ArithmeticError when no listed prime remains.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree part")
     if not p.is_monic():
         raise ValueError("expected a monic polynomial")
     if p.degree == 0:
         return p
-    g = poly_gcd(p, p.derivative())
-    result = exact_divide(p, g)
-    assert result.is_monic()
-    return result
+    dp = p.derivative()
+    norm_bits = (sum(c * c for c in p.coeffs).bit_length() + 1) // 2
+    bound_bits = p.degree + norm_bits + 1
+    for e in _MERSENNE_EXPONENTS:
+        if e <= bound_bits:
+            continue
+        prime = (1 << e) - 1
+        gcd_mod = _gcd_mod(p, dp, prime)
+        if gcd_mod.degree == 0:
+            return p
+        half = prime >> 1
+        candidate = IntPolynomial(
+            c - prime if c > half else c for c in gcd_mod.coeffs
+        )
+        quotient, remainder = _divmod_monic(p, candidate)
+        if remainder.is_zero() and _divmod_monic(dp, candidate)[1].is_zero():
+            return quotient
+    raise ArithmeticError(
+        f"no listed Mersenne prime above 2^{bound_bits} gives a verified "
+        f"gcd of the degree-{p.degree} polynomial and its derivative"
+    )
 
 
 def power_check(p: IntPolynomial, g: IntPolynomial) -> int:

@@ -3,18 +3,21 @@
 Everything here recomputes a quantity through a *different* algorithm than
 the package: continued fractions instead of q-products, mpmath's own special
 functions (qp, kleinj, jtheta) instead of hand-rolled series, scan-and-solve
-enumeration instead of the package's loops.  Agreement between the two routes
+enumeration instead of the package's loops, a rational Euclidean gcd instead
+of the package's modular one.  Agreement between the two routes
 is the point; none of this code is imported by the package.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp, mpc
 
 from classpoly.modgroup import UnimodularMatrix
+from classpoly.polyalgebra import IntPolynomial
 
 
 def egcd(a: int, b: int):
@@ -206,3 +209,83 @@ def random_form(rng, bound: int = 25):
         if gcd(gcd(a, b), c) != 1:
             continue
         return QuadraticForm(a, b, c)
+
+
+# ----------------------------------------------------------------------
+# polynomial gcd and division over the rationals
+# ----------------------------------------------------------------------
+
+def _fraction_coeffs(p: IntPolynomial):
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _frac_degree(cs) -> int:
+    d = len(cs) - 1
+    while d >= 0 and cs[d] == 0:
+        d -= 1
+    return d
+
+
+def _frac_mod(a, b):
+    """Remainder of a by b over the rationals (lists, ascending)."""
+    a = a[:]
+    da, db = _frac_degree(a), _frac_degree(b)
+    lead = b[db]
+    while da >= db:
+        factor = a[da] / lead
+        shift = da - db
+        for k in range(db + 1):
+            a[k + shift] -= factor * b[k]
+        da = _frac_degree(a)
+    return a[: da + 1]
+
+
+def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """Greatest common divisor in Z[x] by Euclid over the rationals,
+    primitive with positive leading coefficient.  gcd(p, 0) is the
+    primitive positive part of p."""
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    if p.is_zero():
+        return q.primitive_positive()
+    if q.is_zero():
+        return p.primitive_positive()
+    a, b = _fraction_coeffs(p), _fraction_coeffs(q)
+    while _frac_degree(b) >= 0:
+        a, b = b, _frac_mod(a, b)
+    # clear denominators, then strip content
+    lcm = 1
+    for c in a:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    ints = IntPolynomial(int(c * lcm) for c in a)
+    return ints.primitive_positive()
+
+
+def exact_divide(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
+    """Quotient p / d when the division is exact over Z[x]; raises otherwise."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    a = _fraction_coeffs(p)
+    b = _fraction_coeffs(d)
+    da, db = _frac_degree(a), _frac_degree(b)
+    if da < db:
+        raise ValueError("division is not exact")
+    out = [Fraction(0)] * (da - db + 1)
+    lead = b[db]
+    while da >= db:
+        factor = a[da] / lead
+        out[da - db] = factor
+        shift = da - db
+        for k in range(db + 1):
+            a[k + shift] -= factor * b[k]
+        da = _frac_degree(a)
+    if da >= 0:
+        raise ValueError("division is not exact")
+    if any(c.denominator != 1 for c in out):
+        raise ValueError("division is not exact over the integers")
+    return IntPolynomial(int(c) for c in out)
+
+
+def squarefree_kernel(p: IntPolynomial) -> IntPolynomial:
+    """p / gcd(p, p') through the rational Euclid above (p of degree >= 1)."""
+    return exact_divide(p, poly_gcd(p, p.derivative()))

@@ -40,7 +40,6 @@ from classpoly.polyalgebra import (
     IntPolynomial,
     eval_poly,
     power_check,
-    round_coefficients,
 )
 from classpoly.quadforms import CMOrder, reduced_forms
 
@@ -270,18 +269,32 @@ def test_run_complex_generator_doubles_the_degree():
 
 def test_level_seven_klein_quotient_rounds():
     """Level 7 through the reduced Klein-quotient evaluator: all 85
-    coefficients of the degree-84 product round cleanly at 256 bits."""
-    job = ClassFieldJob.create(-84, 7, "klein-quotient:1/7,0|2/7,0", 256)
-    data = compute_conjugates(job)
-    assert len(data) == 84
-    coeffs, shortcut = assemble_poly(data, job)
-    assert shortcut is True
-    polynomial, residual = round_coefficients(coeffs, fail_above=mpf(2) ** -64)
+    coefficients of the degree-84 product round cleanly at 256 bits, and
+    run() certifies the polynomial as squarefree."""
+    result = run(ClassFieldJob.create(-84, 7, "klein-quotient:1/7,0|2/7,0", 256))
+    assert len(result.data) == 84
+    assert result.reality_shortcut is True
+    polynomial = result.polynomial
     assert len(polynomial.coeffs) == 85
-    assert residual < mpf(2) ** -64
+    assert result.max_rounding_residual < mpf(2) ** -64
+    assert result.value_residual < mpf(2) ** -64
     assert polynomial.is_monic()
+    assert result.exponent == 1
+    assert result.irreducible == polynomial
+    assert result.escalations == 0
     # a quotient of Siegel functions takes unit values
-    assert abs(polynomial.coeffs[0]) == 1
+    assert polynomial.coeffs[0] == 1
+
+
+def test_run_degree_192_rogers_ramanujan():
+    """(-231, 5): 96 extended classes and a complex generator, so the
+    product has degree 192; it is squarefree and certified at 256 bits."""
+    result = run(ClassFieldJob.create(-231, 5, "rogers-ramanujan", 256))
+    assert result.polynomial.degree == 192
+    assert result.exponent == 1
+    assert result.irreducible == result.polynomial
+    assert result.max_rounding_residual < mpf(2) ** -64
+    assert result.value_residual < mpf(2) ** -64
 
 
 def test_run_escalates_until_the_power_structure_resolves():

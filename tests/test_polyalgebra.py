@@ -4,19 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from classpoly import polyalgebra
 from classpoly.errors import PowerCheckError, RoundingFailureError
 from classpoly.modfunc import APComplex
 from classpoly.polyalgebra import (
     IntPolynomial,
     eval_poly,
-    exact_divide,
-    poly_gcd,
     power_check,
     round_coefficients,
     squarefree_part,
 )
+
+from _oracles import exact_divide, poly_gcd, squarefree_kernel
+from frozen_values import HILBERT_MINUS_52_ASC
 
 
 def P(*desc):
@@ -134,7 +138,8 @@ def test_round_coefficients_keeps_high_precision_payloads():
 
 
 # ----------------------------------------------------------------------
-# gcd, division, squarefree part
+# gcd, division, squarefree part (gcd and division are the rational
+# oracle the modular squarefree part is checked against)
 # ----------------------------------------------------------------------
 
 def test_poly_gcd_examples():
@@ -192,6 +197,69 @@ def test_squarefree_part_random_powers():
                 break  # need a squarefree base
         ell = rng.randint(1, 4)
         assert squarefree_part(g ** ell) == g
+
+
+_monic = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(
+    lambda cs: IntPolynomial(cs + [1])
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_monic, st.integers(1, 3)), min_size=1, max_size=3))
+@example([(P(1, 0, 1), 2), (P(1, -3), 3)])  # a^2 * b^3
+@example([(P(1, -2, 1), 2), (P(1, 1), 1)])  # non-squarefree base (x-1)^2
+@example([(P(1, 0, -1), 3), (P(1, -1), 2)])  # bases sharing the factor x-1
+def test_squarefree_part_matches_the_rational_kernel(factors):
+    p = IntPolynomial((1,))
+    for base, ell in factors:
+        p = p * base ** ell
+    assert squarefree_part(p) == squarefree_kernel(p)
+
+
+def _record_primes(monkeypatch):
+    primes = []
+    gcd_mod = polyalgebra._gcd_mod
+
+    def recording(p, q, prime):
+        primes.append(prime)
+        return gcd_mod(p, q, prime)
+
+    monkeypatch.setattr(polyalgebra, "_gcd_mod", recording)
+    return primes
+
+
+def test_squarefree_part_of_a_power_of_the_hilbert_polynomial(monkeypatch):
+    """H_{-52}^12 has 589-bit coefficients and its gcd with the derivative
+    is H^11; the first prime exceeds the Mignotte bound, so its lift is
+    the gcd at once."""
+    hilbert = IntPolynomial(HILBERT_MINUS_52_ASC)
+    primes = _record_primes(monkeypatch)
+    assert squarefree_part(hilbert ** 12) == hilbert
+    assert primes == [2 ** 1279 - 1]
+
+
+_M61 = 2 ** 61 - 1
+_A = 1518500250  # just above sqrt(2^61 - 1)
+
+
+@pytest.mark.parametrize("p", [
+    # 256^8 - 8 = 8 (2^61 - 1): modulo the first prime x - 256 divides p
+    # twice, and the lift x - 256 divides p but not p'
+    P(1, -256) * P(1, 0, 0, 0, 0, 0, 0, 0, -8),
+    # (x - A)^2 - (2^61 - 1): the lift x - A divides p' but not p
+    P(1, -2 * _A, _A * _A - _M61),
+], ids=["divides-p-only", "divides-derivative-only"])
+def test_squarefree_part_retries_after_an_unlucky_prime(monkeypatch, p):
+    """A squarefree p whose reduction modulo the first prime 2^61 - 1 is
+    not squarefree: the lifted gcd must fail the division check, and the
+    next prime proves p squarefree."""
+    assert squarefree_kernel(p) == p
+    primes = _record_primes(monkeypatch)
+    assert squarefree_part(p) == p
+    assert primes == [_M61, 2 ** 89 - 1]
+    monkeypatch.setattr(polyalgebra, "_MERSENNE_EXPONENTS", (61,))
+    with pytest.raises(ArithmeticError):
+        squarefree_part(p)
 
 
 def test_power_check():
