@@ -368,7 +368,7 @@ def run(job: ClassFieldJob, table: CosetTable | None = None) -> RunResult:
         with mp.workprec(cfg.working_bits):
             value_residual = abs(eval_poly(irreducible, base_value))
         if value_residual >= threshold:
-            raise RoundingFailureError(value_residual, threshold)
+            raise RoundingFailureError(value_residual, threshold, kind="value")
         return RunResult(
             job=job,
             table=table,

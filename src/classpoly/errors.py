@@ -6,7 +6,7 @@ class ClasspolyError(Exception):
 
 
 class NonConvergenceError(ClasspolyError):
-    """A q-series or q-product hit its term budget before its tail bound."""
+    """A theta series hit its term budget before its tail bound."""
 
 
 class PrecisionExhaustedError(ClasspolyError):
@@ -14,13 +14,15 @@ class PrecisionExhaustedError(ClasspolyError):
 
 
 class RoundingFailureError(ClasspolyError):
-    """A coefficient was too far from the nearest integer to round safely."""
+    """A coefficient too far from the nearest integer to round safely (kind
+    "rounding"), or a polynomial not vanishing at its value (kind "value")."""
 
-    def __init__(self, residual, threshold):
+    def __init__(self, residual, threshold, kind="rounding"):
         self.residual = residual
         self.threshold = threshold
+        self.kind = kind
         super().__init__(
-            f"rounding residual {residual} exceeds threshold {threshold}"
+            f"{kind} residual {residual} exceeds threshold {threshold}"
         )
 
 

@@ -1,9 +1,14 @@
 """Arbitrary-precision evaluation of the modular functions in the catalog.
 
 Every evaluator runs inside an mpmath working-precision context of
-target_bits + guard_bits, truncates its q-expansion only once a certified
-tail bound drops below the working resolution, and returns an APComplex
-tagged with the certified target precision.
+target_bits + guard_bits and returns an APComplex tagged with the certified
+target precision.  All of them rest on one kernel, _theta_ctx, the Jacobi
+triple product summed as a series of about sqrt(bits / log2(1/|q|)) terms
+per side and cut by a certified tail bound: eta is Euler's pentagonal series
+theta(q^3, q), the level-5 value is q^(1/5) theta(q^5, q) / theta(q^5, q^2),
+j is Weber's (f^24 + 16)^3 / f^24 with f^24 = 2^12 q (P(q^2)/P(q))^24 and
+P(q) = theta(q^3, q), and a Klein form is a prefactor times
+theta(q, e^(2 pi i (r1 tau + r2))) / P(q)^3.
 
 The q^e convention throughout is q^e = exp(2*pi*i*e*tau).
 """
@@ -31,7 +36,8 @@ class PrecisionConfig:
     """Knobs for one evaluation attempt.
 
     target_bits is what the caller gets to rely on; guard_bits is the extra
-    working headroom; max_terms caps every q-expansion loop.
+    working headroom; max_terms caps the number of terms of each theta
+    series.
     """
 
     target_bits: int = 256
@@ -117,71 +123,67 @@ def _as_mpc(tau) -> mpc:
     return z
 
 
-def _resolution() -> mpf:
-    # smallest magnitude the current context should trust
-    return mpf(2) ** (-(mp.prec))
-
-
-def _check_budget(absq, smallest_exponent, cfg: PrecisionConfig, label: str):
-    """Fail fast when the geometric tail cannot reach the resolution within
-    the term budget.  absq < 1 is required."""
-    if absq >= 1:
-        raise ValueError("q must have magnitude below 1")
-    # terms needed ~ working_bits * ln 2 / -ln|q|
-    needed = (mp.prec + 8) * mp.ln(2) / (-mp.ln(absq))
-    if needed / smallest_exponent > cfg.max_terms:
-        raise NonConvergenceError(
-            f"{label}: ~{int(needed)} factors needed, budget {cfg.max_terms}"
-        )
-
-
 # ----------------------------------------------------------------------
-# core q-expansions (callers hold the working-precision context)
+# the one series kernel and the evaluators built on it (callers hold the
+# working-precision context)
 # ----------------------------------------------------------------------
+
+def _theta_ctx(q: mpc, x: mpc, cfg: PrecisionConfig, label: str) -> mpc:
+    """The Jacobi triple product as a series,
+
+        prod (1-q^n)(1-q^(n-1) x)(1-q^n/x) = sum_m (-1)^m q^(m(m-1)/2) x^m,
+
+    summed outward from m = 0.  With |q| < 1 and |q| <= |x| <= 1, every step
+    past m = +-1 shrinks the term by at least |q|, so stopping each side at
+    its first term below res (1-|q|)/4, with res = 2^-prec the working
+    resolution, leaves a tail below res/2 in all.  No term exceeds 1, so a
+    small sum (near the real line) has lost log2(1/|sum|) bits; past a quarter
+    of the guard bits, the series is summed again with them added.  The
+    zeros x = 1 and x = q of the product are refused.
+    """
+    absq = abs(q)
+    if not (absq < 1 and absq <= abs(x) <= 1) or x in (1, q):
+        raise ValueError(f"{label}: theta series needs |q| < 1, |q| <= |x| <= 1, x not 1 or q")
+    base = prec = mp.prec
+    terms = 0  # over all passes
+    while True:
+        with mp.workprec(prec):
+            cut = mpf(2) ** -prec * (1 - absq) / 4
+            total = mpc(1)
+            for step in (x, q / x):  # -t_1 and -t_(-1); each later step gains a q
+                term = -step
+                abs_step = size = abs(step)
+                while size >= cut:
+                    total += term
+                    terms += 1
+                    if terms > cfg.max_terms:
+                        raise NonConvergenceError(f"{label} exceeded max_terms")
+                    step *= q
+                    term *= -step
+                    abs_step *= absq
+                    size *= abs_step
+        lost = -mp.mag(total)  # bits cancelled away
+        if prec >= base + lost - cfg.guard_bits // 4:
+            return total
+        prec = base + lost
+
 
 def _rr_product_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """q^(1/5) * prod (1-q^(5n-1))(1-q^(5n-4)) / ((1-q^(5n-2))(1-q^(5n-3)))."""
+    """q^(1/5) theta(q^5, q) / theta(q^5, q^2), which by the triple product
+    is q^(1/5) prod (1-q^(5n-1))(1-q^(5n-4)) / ((1-q^(5n-2))(1-q^(5n-3)))."""
     q = mp.expjpi(2 * z)
-    absq = abs(q)
-    _check_budget(absq, 5, cfg, "rr-product")
-    value = mp.expjpi(2 * z / 5)
-    q1 = q
-    q2 = q1 * q
-    q3 = q2 * q
-    q4 = q3 * q
-    q5 = q4 * q
-    run = mpc(1)  # q^(5(n-1))
-    abs_run = mpf(1)
-    res = _resolution()
-    terms = 0
-    while True:
-        # remaining log-magnitude <= 4|q|^(5n-4)/(1-|q|), doubled for safety
-        tail = 8 * abs_run * abs(q1) / (1 - absq)
-        if tail < res:
-            break
-        value *= (1 - run * q4) * (1 - run * q1) / ((1 - run * q3) * (1 - run * q2))
-        run *= q5
-        abs_run *= absq ** 5
-        terms += 4
-        if terms > cfg.max_terms:
-            raise NonConvergenceError("rr-product exceeded max_terms")
-    return value
-
-
-def _phi():
-    return (1 + mp.sqrt(5)) / 2
-
-
-def _zeta5():
-    return mp.expjpi(mpf(2) / 5)
+    q2 = q * q
+    q5 = q2 * q2 * q
+    return (mp.expjpi(2 * z / 5) * _theta_ctx(q5, q, cfg, "rr-product")
+            / _theta_ctx(q5, q2, cfg, "rr-product"))
 
 
 def _replay_value(word, value: mpc) -> mpc:
     """Given value = r(final point), undo the recorded reduction moves to get
     r at the original point.  Inverting a T^-1 move multiplies by zeta_5,
     inverting a T move divides, and the S move rule is an involution."""
-    zeta = _zeta5()
-    phi = _phi()
+    zeta = mp.expjpi(mpf(2) / 5)
+    phi = (1 + mp.sqrt(5)) / 2
     for token in reversed(word.tokens):
         if token == TOKEN_T_INV:
             value = value * zeta
@@ -192,130 +194,67 @@ def _replay_value(word, value: mpc) -> mpc:
     return value
 
 
-_DIRECT_IM_THRESHOLD = 0.5
-
-
 def _rr_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
-    if z.imag > _DIRECT_IM_THRESHOLD:
+    if z.imag > 0.5:  # |q| < e^-pi: the series is short enough as it is
         return _rr_product_ctx(z, cfg)
     z_star, word = fundamental_domain_reduce(z)
     return _replay_value(word, _rr_product_ctx(z_star, cfg))
 
 
 def _eta_product_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """prod_(n>=1) (1 - q^n), certified."""
+    """prod_(n>=1) (1 - q^n) = theta(q^3, q), Euler's pentagonal series."""
     q = mp.expjpi(2 * z)
-    absq = abs(q)
-    _check_budget(absq, 1, cfg, "eta-product")
-    res = _resolution()
-    value = mpc(1)
-    qn = q
-    abs_qn = absq
-    terms = 0
-    while 4 * abs_qn / (1 - absq) >= res:
-        value *= 1 - qn
-        qn *= q
-        abs_qn *= absq
-        terms += 1
-        if terms > cfg.max_terms:
-            raise NonConvergenceError("eta-product exceeded max_terms")
-    return value
-
-
-def _eta_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
-    return mp.expjpi(z / 12) * _eta_product_ctx(z, cfg)
-
-
-def _sigma3(n: int) -> int:
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** 3
-            e = n // d
-            if e != d:
-                total += e ** 3
-        d += 1
-    return total
-
-
-def _e4_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """Weight-4 Eisenstein series 1 + 240 sum sigma_3(n) q^n."""
-    q = mp.expjpi(2 * z)
-    absq = abs(q)
-    _check_budget(absq, 1, cfg, "eisenstein-4")
-    res = _resolution()
-    value = mpc(1)
-    qn = q
-    abs_qn = absq
-    n = 1
-    while True:
-        # sigma_3(m) <= 1.21 m^3; bound covers every term from n on
-        tail = 290 * (n ** 3) * abs_qn / (1 - absq) ** 4
-        if tail < res and n > 1:
-            break
-        value += 240 * _sigma3(n) * qn
-        qn *= q
-        abs_qn *= absq
-        n += 1
-        if n > cfg.max_terms:
-            raise NonConvergenceError("eisenstein-4 exceeded max_terms")
-    return value
+    return _theta_ctx(q * q * q, q, cfg, "eta-product")
 
 
 def _j_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
-    """Klein j-function via E4^3 / (q prod(1-q^n)^24), after moving z into
-    the fundamental domain (exact invariance)."""
+    """Klein j by Weber's (f^24 + 16)^3 / f^24, where f = f2 and
+    f^24 = 2^12 q (P(q^2) / P(q))^24 with P(q) = prod (1-q^n) = theta(q^3, q),
+    after moving z into the fundamental domain (exact invariance)."""
     z_star, _ = fundamental_domain_reduce(z)
     q = mp.expjpi(2 * z_star)
-    disc = q * _eta_product_ctx(z_star, cfg) ** 24
-    return _e4_ctx(z_star, cfg) ** 3 / disc
+    q2 = q * q
+    ratio = (_theta_ctx(q2 * q2 * q2, q2, cfg, "j")
+             / _theta_ctx(q2 * q, q, cfg, "j"))
+    f24 = ratio * ratio * ratio
+    for _ in range(3):  # products, not **: mpmath's high-precision pow is log/exp
+        f24 *= f24
+    f24 *= 4096 * q
+    return (f24 + 16) * (f24 + 16) * (f24 + 16) / f24
 
 
 def _klein_numerator_ctx(r1: Fraction, r2: Fraction, z: mpc,
                          cfg: PrecisionConfig) -> mpc:
-    """Klein form at (r1, r2) times prod (1-q^n)^2: the q-product without
-    the denominator, which Klein forms at the same point share.  Requires
-    -1 < r1 < 1 and (r1, r2) not both integral."""
+    """Klein form at (r1, r2) times prod (1-q^n)^3: the prefactor
+    e^(pi i r2 (r1-1)) q^(r1 (r1-1)/2) times theta(q, q_z), with
+    q_z = e^(2 pi i (r1 z + r2)); by the triple product, theta(q, q_z) is
+    (1-q_z) prod (1-q^n)(1-q^n q_z)(1-q^n/q_z).  Requires -1 < r1 < 1 and
+    (r1, r2) not both integral.  A negative r1 is moved to r1 + 1 by K3,
+    k_(r1, r2) = -e^(pi i r2) k_(r1+1, r2), so that |q| <= |q_z| <= 1."""
     if not (-1 < r1 < 1):
         raise ValueError("first Klein parameter must lie in (-1, 1)")
     if r1.denominator == 1 and r2.denominator == 1:
         raise ValueError("Klein parameters must not both be integers")
-    q = mp.expjpi(2 * z)
-    absq = abs(q)
-    _check_budget(absq, 1, cfg, "klein-form")
-    r1_m = mpf(r1.numerator) / r1.denominator
     r2_m = mpf(r2.numerator) / r2.denominator
+    if r1 < 0:
+        return -mp.expjpi(r2_m) * _klein_numerator_ctx(r1 + 1, r2, z, cfg)
+    r1_m = mpf(r1.numerator) / r1.denominator
+    q = mp.expjpi(2 * z)
     qz = mp.expjpi(2 * (r1_m * z + r2_m))
-    qz_inv = 1 / qz
     prefactor = mp.expjpi(r2_m * (r1_m - 1)) * mp.expjpi(z * r1_m * (r1_m - 1))
-    num = prefactor * (1 - qz)
-    res = _resolution()
-    qn = q
-    abs_qn = absq
-    n = 1
-    # bound covers every factor from n on; exponents there are >= n - |r1|
-    tail_scale = 8 * absq ** (-abs(r1_m)) / (1 - absq)
-    while abs_qn * tail_scale >= res:
-        num *= (1 - qn * qz) * (1 - qn * qz_inv)
-        qn *= q
-        abs_qn *= absq
-        n += 1
-        if n > cfg.max_terms:
-            raise NonConvergenceError("klein-form exceeded max_terms")
-    return num
+    return prefactor * _theta_ctx(q, qz, cfg, "klein-form")
 
 
 def _klein_quotient_ctx(p: tuple, s: tuple, w: mpc, cfg: PrecisionConfig) -> mpc:
-    """k_p(w) / k_s(w) with both q-products run in the fundamental domain.
+    """k_p(w) / k_s(w) with both theta series run in the fundamental domain.
 
     With w* = M w, the law k_r(M^-1 w*) = (c'w* + d')^-1 k_(r M^-1)(w*)
     (Kubert-Lang K2) moves each parameter pair, and the automorphy factors
     cancel in the quotient.  K3, k_(a+b) = (-1)^(b1 b2 + b1 + b2)
     e^(-pi i (b1 a2 - b2 a1)) k_a for integral b, then brings each pair into
     [0,1) x [0,1); it never becomes integral, since M is invertible over Z.
-    Both forms then sit at w*, so their shared prod (1-q^n)^2 denominator
-    cancels too and only the numerators are computed.
+    Both forms then sit at w*, so the prod (1-q^n)^3 that each numerator
+    carries cancels too.
     """
     w_star, word = fundamental_domain_reduce(w)
     m_inv = word.matrix().inverse()
@@ -338,8 +277,9 @@ def _klein_quotient_ctx(p: tuple, s: tuple, w: mpc, cfg: PrecisionConfig) -> mpc
 # ----------------------------------------------------------------------
 
 def eval_rr_product(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Level-5 continued-fraction value by the raw q-product, no argument
-    reduction.  Slow (or non-convergent) near the real line."""
+    """Level-5 continued-fraction value by its two theta series at tau
+    itself, no argument reduction: slow (or non-convergent) near the real
+    line, where |q| approaches 1 and the series cancel."""
     with mp.workprec(cfg.working_bits):
         value = _rr_product_ctx(_as_mpc(tau), cfg)
     return APComplex.from_mpc(value, cfg.target_bits)
@@ -354,9 +294,11 @@ def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
 
 
 def eval_eta(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Dedekind eta, q^(1/24) prod (1 - q^n)."""
+    """Dedekind eta, q^(1/24) prod (1 - q^n), at tau itself: slow near the
+    real line, where the series is long and its sum small."""
     with mp.workprec(cfg.working_bits):
-        value = _eta_ctx(_as_mpc(tau), cfg)
+        z = _as_mpc(tau)
+        value = mp.expjpi(z / 12) * _eta_product_ctx(z, cfg)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -368,16 +310,17 @@ def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
 
 
 def eval_klein(r1, r2, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Klein form k_(r1, r2)(tau) for rational parameters, by the raw
-    q-product at tau itself: no argument reduction, so slow (or
-    non-convergent) near the real line.  It is the independent reference for
-    the reduced klein-quotient evaluator, and divides by the full
-    prod (1-q^n)^2 that the quotient cancels."""
+    """Klein form k_(r1, r2)(tau) for rational parameters, by the theta
+    series at tau itself: no argument reduction, so slow (or non-convergent)
+    near the real line.  It is the reference for the reduced klein-quotient
+    evaluator, and divides the numerator by the cube of the pentagonal
+    series prod (1-q^n), which the quotient cancels."""
     r1 = Fraction(r1)
     r2 = Fraction(r2)
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
-        value = _klein_numerator_ctx(r1, r2, z, cfg) / _eta_product_ctx(z, cfg) ** 2
+        p = _eta_product_ctx(z, cfg)
+        value = _klein_numerator_ctx(r1, r2, z, cfg) / (p * p * p)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 

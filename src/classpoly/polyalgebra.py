@@ -97,8 +97,9 @@ class IntPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def evaluate(self, x):

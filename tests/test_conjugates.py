@@ -1,6 +1,7 @@
 """The conjugate pipeline: extended classes, twisting matrices, polynomials."""
 
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -22,6 +23,7 @@ from classpoly.errors import (
     NonConvergenceError,
     PoleError,
     PrecisionExhaustedError,
+    RoundingFailureError,
 )
 from classpoly.modfunc import (
     APComplex,
@@ -412,6 +414,22 @@ def test_compute_conjugates_escalates_then_gives_up(max_escalations):
         compute_conjugates(job)
     assert isinstance(info.value.__cause__, NonConvergenceError)
     assert calls == [64 * 2 ** e for e in range(max_escalations + 1)]
+
+
+@pytest.mark.parametrize("bits, kind", [(256, "rounding"), (512, "value")])
+def test_exhaustion_names_the_certificate_that_failed(bits, kind):
+    """(-391, 1, j) misses the rounding threshold at 256 bits; at 512 bits
+    it rounds, but the polynomial does not vanish at the value within the
+    (absolute) threshold.  Both failures keep the RoundingFailureError type,
+    so they escalate alike, but the message names the check."""
+    job = ClassFieldJob.create(-391, 1, "j", bits)
+    job = replace(job, precision=replace(job.precision, max_escalations=0))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        run(job)
+    cause = info.value.__cause__
+    assert isinstance(cause, RoundingFailureError)
+    assert cause.kind == kind
+    assert f"(last failure: {kind} residual " in str(info.value)
 
 
 def test_precision_exhaustion_on_non_integer_values():

@@ -25,6 +25,7 @@ from classpoly.modfunc import (
     eval_klein,
     eval_rr,
     eval_rr_product,
+    _theta_ctx,
 )
 
 from _oracles import (
@@ -258,6 +259,23 @@ def test_j_classical_anchors():
         assert abs(corner) < mpf(2) ** -240
 
 
+@pytest.mark.parametrize("bits", [2048, 4096])
+@pytest.mark.parametrize("where", ["i", "corner"])
+def test_j_at_high_precision_where_q_is_largest(bits, where):
+    """i and a point just inside the corner e^(2 pi i/3) of the fundamental
+    domain, where |q| ~ 0.0043 is largest and j is near its triple zero."""
+    with mp.workprec(bits + 80):
+        if where == "i":
+            tau = mpc(0, 1)
+        else:
+            tau = mpc(mpf(-1) / 2, mp.sqrt(3) / 2) + mpc(1, 1) * mpf(2) ** -20
+    cfg = PrecisionConfig(target_bits=bits)
+    ours = eval_j(tau, cfg).to_mpc()
+    ref = j_reference(tau, bits + 40)
+    with mp.workprec(bits + 80):
+        assert abs(ours - ref) / abs(ref) < mpf(2) ** -(bits - 12)
+
+
 def test_j_full_modular_invariance_sample():
     rng = random.Random(32)
     with mp.workprec(256):
@@ -280,6 +298,9 @@ KLEIN_PARAMS = [
     (Fraction(1, 5), Fraction(2, 5)),
     (Fraction(-3, 7), Fraction(1, 7)),
     (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(0), Fraction(1, 3)),  # |q_z| = 1
+    (Fraction(29, 30), Fraction(1, 7)),  # |q / q_z| near 1
+    (Fraction(-29, 30), Fraction(2, 5)),  # moved to r1 + 1 by K3
 ]
 
 
@@ -304,6 +325,41 @@ def test_klein_quasi_periodicity():
                 up1 = eval_klein(r1 + 1, r2, tau, CFG192).to_mpc()
                 law1 = -mp.expjpi(-mpf(r2.numerator) / r2.denominator)
                 assert abs(up1 / base - law1) < mpf(2) ** -170
+
+
+@pytest.mark.parametrize("q, x", [
+    (mpc("0.5"), mpc("1.01")),  # |x| > 1
+    (mpc("0.5"), mpc(0, "0.4")),  # |x| < |q|
+    (mpc(1), mpc(1)),  # |q| = 1
+    (mpc("0.5"), mpc(1)),  # the product's zero at x = 1
+    (mpc(0, "0.5"), mpc(0, "0.5")),  # and at x = q
+])
+def test_theta_kernel_rejects_points_outside_its_bound(q, x):
+    with mp.workprec(128):
+        with pytest.raises(ValueError):
+            _theta_ctx(q, x, CFG128, "theta")
+
+
+@pytest.mark.parametrize("tau", [mpc(0, "0.003"), mpc(0, "0.001")])
+@pytest.mark.parametrize("name", ["eta", "rr-product", "klein"])
+def test_unreduced_evaluators_keep_their_precision_near_the_real_line(name, tau):
+    """The series sums are tiny here (|eta(0.001i)| ~ 2^-380, the Klein
+    numerator smaller still), so cancellation costs more bits than the
+    working precision holds; the value must still be good to the precision
+    it is tagged with.  theta_1 cancels the same way, so the Klein reference
+    gets 1400 extra bits; the product and the continued fraction do not."""
+    cfg = PrecisionConfig(target_bits=128, max_terms=2_000_000)
+    if name == "eta":
+        ours, ref = eval_eta(tau, cfg), eta_reference(tau, 168)
+    elif name == "rr-product":
+        ours, ref = eval_rr_product(tau, cfg), rr_continued_fraction(tau, 168)
+    else:
+        r1, r2 = Fraction(1, 5), Fraction(0)
+        ours = eval_klein(r1, r2, tau, cfg)
+        ref = klein_theta_reference(r1, r2, tau, 1528)
+    assert ours.precision_bits == 128
+    with mp.workprec(1600):
+        assert abs(ours.to_mpc() - ref) / abs(ref) < mpf(2) ** -128
 
 
 def test_klein_parameter_validation():

@@ -74,6 +74,26 @@ def test_mul_and_pow():
         assert (a * b) * c == a * (b * c)
 
 
+def test_pow_multiplies_only_while_exponent_bits_remain(monkeypatch):
+    calls = []
+    mul = IntPolynomial.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    p = P(1, 2, 3)
+    monkeypatch.setattr(IntPolynomial, "__mul__", counting_mul)
+    for n, want_calls in ((1, 1), (12, 5)):  # 12 = 0b1100: 3 squarings, 2 products
+        calls.clear()
+        power = p ** n
+        assert len(calls) == want_calls
+        expected = P(1)
+        for _ in range(n):
+            expected = mul(expected, p)
+        assert power == expected
+
+
 def test_derivative_and_evaluate():
     p = P(3, 0, -2, 5)  # 3x^3 - 2x + 5
     assert p.derivative() == P(9, 0, -2)
