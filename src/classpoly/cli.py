@@ -18,6 +18,7 @@ from .conjugates import (
     ClassFieldJob,
     RunResult,
     cartan_order,
+    reject_extra_units,
     run,
     walk_grid,
 )
@@ -261,46 +262,69 @@ def _cmd_validate(args) -> int:
 # table
 # ----------------------------------------------------------------------
 
+# One grid cell of the JSON document, laid out as json.dumps(indent=2) lays
+# it out at its depth; the cells are spliced into the "grid" slot.
+_JSON_CELL = (
+    "      {\n"
+    '        "i": %d,\n'
+    '        "k": %d,\n'
+    '        "form": [\n'
+    "          %d,\n"
+    "          %d,\n"
+    "          %d\n"
+    "        ],\n"
+    '        "passes_filter": %s\n'
+    "      }"
+)
+
+
+def _json_cell(i, k, f, p) -> str:
+    return _JSON_CELL % (i, k, f.a, f.b, f.c, "true" if p else "false")
+
+
+def _text_cell(i, k, f, p) -> str:
+    return (
+        f"  (i={i}, k={k}) {str(f):30s}"
+        f" {'pass' if p else 'skip (leading coeff shares a factor)'}\n"
+    )
+
+
 def _cmd_table(args) -> int:
     order = CMOrder.from_discriminant(args.disc)
-    if args.disc in (-3, -4):
-        raise ValueError("discriminants -3 and -4 are excluded")
+    reject_extra_units(order)
     table = enumerate_cosets(args.level, args.tie_break)
     forms = reduced_forms(order.disc)
     cartan = cartan_order(order, args.level)
-    grid = list(walk_grid(forms, table, args.level))
-    passing = sum(p for *_, p in grid)
+    cell = _json_cell if args.format == "json" else _text_cell
+    rows, passing = [], 0
+    for i, k, _, f, p in walk_grid(forms, table, args.level):
+        rows.append(cell(i, k, f, p))
+        passing += p
     if len(forms) * cartan.quotient != passing:
         raise CrossCheckError(
             f"grid count {passing} disagrees with {len(forms)} x {cartan.quotient}"
         )
+    w = sys.stdout.write
     if args.format == "json":
-        _emit_json(
-            {
-                "input": {"discriminant": args.disc, "level": args.level},
-                "class_data": {
-                    "reduced_forms": [list(f.coefficients()) for f in forms],
-                    "coset_table": table.to_json_dict(),
-                    "unit_group": {
-                        "matrix_count": cartan.matrix_count,
-                        "torsion_count": cartan.torsion_count,
-                        "quotient": cartan.quotient,
-                    },
-                    "grid": [
-                        {
-                            "i": i,
-                            "k": k,
-                            "form": list(f.coefficients()),
-                            "passes_filter": bool(p),
-                        }
-                        for (i, k, _, f, p) in grid
-                    ],
-                    "class_count": passing,
+        doc = {
+            "input": {"discriminant": args.disc, "level": args.level},
+            "class_data": {
+                "reduced_forms": [list(f.coefficients()) for f in forms],
+                "coset_table": table.to_json_dict(),
+                "unit_group": {
+                    "matrix_count": cartan.matrix_count,
+                    "torsion_count": cartan.torsion_count,
+                    "quotient": cartan.quotient,
                 },
-            }
-        )
+                "grid": None,
+                "class_count": passing,
+            },
+        }
+        head, tail = json.dumps(doc, indent=2).split('"grid": null')
+        w(head + '"grid": [\n')
+        w(",\n".join(rows))
+        w("\n    ]" + tail + "\n")
     else:
-        w = sys.stdout.write
         w(f"discriminant {args.disc}, level {args.level}\n")
         w(f"reduced forms ({len(forms)}):\n")
         for i, f in enumerate(forms):
@@ -312,12 +336,8 @@ def _cmd_table(args) -> int:
             f"unit group {cartan.matrix_count} / {cartan.torsion_count}"
             f" = {cartan.quotient}\n"
         )
-        w(f"grid ({len(grid)} pairs, {passing} pass the filter):\n")
-        for (i, k, _, f, p) in grid:
-            w(
-                f"  (i={i}, k={k}) {str(f):30s}"
-                f" {'pass' if p else 'skip (leading coeff shares a factor)'}\n"
-            )
+        w(f"grid ({len(rows)} pairs, {passing} pass the filter):\n")
+        w("".join(rows))
     return 0
 
 

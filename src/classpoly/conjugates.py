@@ -76,6 +76,16 @@ class ConjugateDatum:
     identity_class: bool
 
 
+def reject_extra_units(order: CMOrder) -> None:
+    """Raise ValueError for discriminants -3 and -4, whose extra units break
+    the one-class-per-(form, coset) representation of the grid."""
+    if order.disc in (-3, -4):
+        raise ValueError(
+            "discriminants -3 and -4 are excluded (extra units break the "
+            "one-class-per-pair representation)"
+        )
+
+
 @dataclass(frozen=True)
 class ClassFieldJob:
     """A complete request: order, level, function, precision."""
@@ -86,11 +96,7 @@ class ClassFieldJob:
     precision: PrecisionConfig = DEFAULT_PRECISION
 
     def __post_init__(self):
-        if self.order.disc in (-3, -4):
-            raise ValueError(
-                "discriminants -3 and -4 are excluded (extra units break the "
-                "one-class-per-pair representation)"
-            )
+        reject_extra_units(self.order)
         if self.level < 1:
             raise ValueError("level must be positive")
         if self.level % self.function.level:

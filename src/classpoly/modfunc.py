@@ -336,14 +336,19 @@ def check_icosahedral(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
         z = _as_mpc(tau)
         x = _rr_ctx(z, cfg)
         jv = _j_ctx(z, cfg)
-        x5 = x ** 5
+        # products, not **: mpmath's high-precision pow is log/exp
+        x2 = x * x
+        x5 = x2 * x2 * x
         x10 = x5 * x5
         x15 = x10 * x5
         x20 = x15 * x5
         a = x20 - 228 * x15 + 494 * x10 + 228 * x5 + 1
-        b = x5 * (x10 + 11 * x5 - 1) ** 5
-        lhs = a ** 3 + jv * b
-        scale = max(abs(a) ** 3, abs(jv * b))
+        c = x10 + 11 * x5 - 1
+        c2 = c * c
+        b = x5 * c2 * c2 * c
+        a3 = a * a * a
+        lhs = a3 + jv * b
+        scale = max(abs(a3), abs(jv * b))
         residual = abs(lhs) / scale
     return residual
 

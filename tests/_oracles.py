@@ -4,20 +4,24 @@ Everything here recomputes a quantity through a *different* algorithm than
 the package: continued fractions instead of q-products, mpmath's own special
 functions (qp, kleinj, jtheta) instead of hand-rolled series, scan-and-solve
 enumeration instead of the package's loops, a rational Euclidean gcd instead
-of the package's modular one.  Agreement between the two routes
+of the package's modular one, and one json.dumps of the whole `table`
+document instead of the package's row templates.  Agreement between the two routes
 is the point; none of this code is imported by the package.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp, mpc
 
-from classpoly.modgroup import UnimodularMatrix
+from classpoly.conjugates import cartan_order, walk_grid
+from classpoly.modgroup import UnimodularMatrix, enumerate_cosets
 from classpoly.polyalgebra import IntPolynomial
+from classpoly.quadforms import CMOrder, reduced_forms
 
 
 def egcd(a: int, b: int):
@@ -289,3 +293,58 @@ def exact_divide(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
 def squarefree_kernel(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p') through the rational Euclid above (p of degree >= 1)."""
     return exact_divide(p, poly_gcd(p, p.derivative()))
+
+
+# ----------------------------------------------------------------------
+# the table subcommand's output, rendered as one whole document
+# ----------------------------------------------------------------------
+
+def render_table_reference(disc: int, level: int, fmt: str, tie_break: str) -> str:
+    """What `classpoly table` prints, built the straightforward way: the whole
+    grid in memory, then one json.dumps(indent=2) of the whole document, or
+    the text lines written cell by cell."""
+    order = CMOrder.from_discriminant(disc)
+    table = enumerate_cosets(level, tie_break)
+    forms = reduced_forms(order.disc)
+    cartan = cartan_order(order, level)
+    grid = list(walk_grid(forms, table, level))
+    passing = sum(p for *_, p in grid)
+    if fmt == "json":
+        doc = {
+            "input": {"discriminant": disc, "level": level},
+            "class_data": {
+                "reduced_forms": [list(f.coefficients()) for f in forms],
+                "coset_table": table.to_json_dict(),
+                "unit_group": {
+                    "matrix_count": cartan.matrix_count,
+                    "torsion_count": cartan.torsion_count,
+                    "quotient": cartan.quotient,
+                },
+                "grid": [
+                    {
+                        "i": i,
+                        "k": k,
+                        "form": list(f.coefficients()),
+                        "passes_filter": bool(p),
+                    }
+                    for (i, k, _, f, p) in grid
+                ],
+                "class_count": passing,
+            },
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    out = [f"discriminant {disc}, level {level}\n", f"reduced forms ({len(forms)}):\n"]
+    out += [f"  i={i}: {f}\n" for i, f in enumerate(forms)]
+    out.append(f"coset reps ({table.size()}, tie-break {table.tie_break}):\n")
+    out += [f"  k={k}: {g}\n" for k, g in enumerate(table.reps)]
+    out.append(
+        f"unit group {cartan.matrix_count} / {cartan.torsion_count}"
+        f" = {cartan.quotient}\n"
+    )
+    out.append(f"grid ({len(grid)} pairs, {passing} pass the filter):\n")
+    for (i, k, _, f, p) in grid:
+        out.append(
+            f"  (i={i}, k={k}) {str(f):30s}"
+            f" {'pass' if p else 'skip (leading coeff shares a factor)'}\n"
+        )
+    return "".join(out)

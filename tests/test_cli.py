@@ -5,10 +5,11 @@ import json
 import pytest
 
 import classpoly.cli as cli
-from classpoly.conjugates import build_extended_classes
+from classpoly.conjugates import CartanOrder, build_extended_classes
 from classpoly.errors import CrossCheckError, PoleError, PrecisionExhaustedError
 from classpoly.quadforms import CMOrder
 
+from _oracles import render_table_reference
 from frozen_values import GOLDEN_MINUS_52_LEVEL_5_DESC
 
 GOLDEN_ARGS = [
@@ -172,6 +173,48 @@ def test_table_passing_cells_are_the_extended_classes(capsys, disc, level):
     passing = [(c["i"], c["k"], c["form"]) for c in grid if c["passes_filter"]]
     reps = build_extended_classes(CMOrder.from_discriminant(disc), level)
     assert passing == [(r.i, r.k, list(r.form.coefficients())) for r in reps]
+
+
+@pytest.mark.parametrize("tie_break", ["min", "max"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("disc, level", [(-23, 2), (-52, 5), (-1351, 12)])
+def test_table_output_is_the_whole_document_byte_for_byte(
+    capsys, disc, level, fmt, tie_break
+):
+    rc, out, err = run_cli(
+        capsys, "table", "--disc", str(disc), "--level", str(level),
+        "--format", fmt, "--tie-break", tie_break,
+    )
+    assert rc == 0 and err == ""
+    assert out == render_table_reference(disc, level, fmt, tie_break)
+    if fmt == "json":
+        data = json.loads(out)["class_data"]
+        cells = len(data["reduced_forms"]) * len(data["coset_table"]["reps"])
+        assert len(data["grid"]) == cells
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_table_prints_nothing_when_the_grid_count_disagrees(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "cartan_order", lambda order, level: CartanOrder(24, 2, 11))
+    rc, out, err = run_cli(
+        capsys, "table", "--disc", "-52", "--level", "5", "--format", fmt,
+    )
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("internal cross-check failed: grid count 24")
+
+
+@pytest.mark.parametrize("disc", ["-3", "-4"])
+def test_table_rejects_extra_units_as_compute_does(capsys, disc):
+    rc, out, table_err = run_cli(capsys, "table", "--disc", disc, "--level", "5")
+    assert rc == 2 and out == ""
+    rc, _, compute_err = run_cli(
+        capsys, "compute", "--disc", disc, "--level", "5",
+        "--function", "rogers-ramanujan",
+    )
+    assert rc == 2
+    assert table_err == compute_err
+    assert table_err.startswith("error: discriminants -3 and -4 are excluded")
 
 
 def test_catalog_lists_functions(capsys):
