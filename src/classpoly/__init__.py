@@ -63,7 +63,6 @@ from .polyalgebra import (
 )
 from .quadforms import (
     CMOrder,
-    ExactCMPoint,
     QuadraticForm,
     class_number,
     reduce_form,

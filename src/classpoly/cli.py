@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
@@ -91,6 +92,7 @@ def _conjugates_json(result: RunResult):
     out = []
     for d in result.data:
         pt = d.eval_point
+        two_a = 2 * pt.a
         out.append(
             {
                 "i": d.rep.i,
@@ -99,9 +101,9 @@ def _conjugates_json(result: RunResult):
                 "alpha_mod_level": _rows_json(d.alpha),
                 "lifted": _matrix_json(d.lifted),
                 "eval_point": {
-                    "rational_part": str(pt.rational_part),
-                    "radical_coefficient": str(pt.radical_coefficient),
-                    "radicand": pt.radicand,
+                    "rational_part": str(Fraction(-pt.b, two_a)),
+                    "radical_coefficient": str(Fraction(1, two_a)),
+                    "radicand": pt.discriminant,
                 },
                 "value": {
                     "re": d.value.re_str(),

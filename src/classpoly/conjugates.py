@@ -12,7 +12,7 @@ own generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from mpmath import mp, mpc, mpf
@@ -28,6 +28,7 @@ from .errors import (
 from .modfunc import (
     APComplex,
     DEFAULT_PRECISION,
+    GUARD_BITS,
     ModularFunctionSpec,
     PrecisionConfig,
 )
@@ -39,7 +40,7 @@ from .polyalgebra import (
     round_coefficients,
     squarefree_part,
 )
-from .quadforms import CMOrder, ExactCMPoint, QuadraticForm, reduced_forms
+from .quadforms import CMOrder, QuadraticForm, reduced_forms
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,16 @@ class CartanOrder:
 
 @dataclass(frozen=True)
 class ConjugateDatum:
-    """Everything recorded for one class: the matrices, the exact evaluation
-    point, and the function value."""
+    """Everything recorded for one class: the matrices, the base point (the
+    mirrored reduced form (a, -b, c), whose root is -conj of the reduced
+    form's root), and the function value at the root of
+    eval_point.transform(lifted.inverse()), the lifted image of that point."""
 
     rep: ExtendedClassRep
     alpha: tuple  # 2x2 rows mod level, determinant = inverse of form.a
     lifted: UnimodularMatrix
-    eval_point: ExactCMPoint
-    value: APComplex
+    eval_point: QuadraticForm
+    value: APComplex | None  # None until evaluated
     identity_class: bool
 
 
@@ -145,8 +148,6 @@ def build_extended_classes(order: CMOrder, level: int,
 def cartan_order(order: CMOrder, level: int) -> CartanOrder:
     """Count matrices [[t - b s, -c s], [s, t]] with invertible determinant
     mod the level; the quotient by +-1 predicts classes per reduced form."""
-    if level == 1:
-        return CartanOrder(1, 1, 1)
     count = 0
     for s in range(level):
         for t in range(level):
@@ -167,12 +168,8 @@ def _conjugate_rows(rep: ExtendedClassRep, order: CMOrder, level: int):
     if (b_ik + order.b) % 2:
         raise CrossCheckError("form and order middle coefficients differ mod 2")
     half = (b_ik + order.b) // 2
-    if level == 1:
-        a_inv = 0
-        u = 0
-    else:
-        a_inv = pow(a_ik, -1, level)
-        u = (-a_inv * half) % level
+    a_inv = pow(a_ik, -1, level)
+    u = (-a_inv * half) % level
     ghat = rep.gamma.hat()
     top = ((ghat.a + u * ghat.c) % level, (ghat.b + u * ghat.d) % level)
     gl_rows = (top, ((a_inv * ghat.c) % level, (a_inv * ghat.d) % level))
@@ -194,29 +191,22 @@ def _in_pm_gamma1(gamma: UnimodularMatrix, level: int) -> bool:
     return (r11 == one and r22 == one) or (r11 == minus_one and r22 == minus_one)
 
 
-@dataclass(frozen=True)
-class _PreparedClass:
-    rep: ExtendedClassRep
-    alpha: tuple
-    lifted: UnimodularMatrix
-    eval_point: ExactCMPoint
-    identity_class: bool
-
-
 def _prepare_classes(order: CMOrder, level: int, table: CosetTable) -> list:
+    """One unevaluated ConjugateDatum per extended class."""
     forms = reduced_forms(order.disc)
-    eval_points = [q_form.cm_point().neg_conjugate() for q_form in forms]
     principal = order.principal_form()
     prepared = []
     for rep in build_extended_classes(order, level, table):
         gl_rows, sl_rows = _conjugate_rows(rep, order, level)
+        q_form = forms[rep.i]
         prepared.append(
-            _PreparedClass(
+            ConjugateDatum(
                 rep=rep,
                 alpha=gl_rows,
                 lifted=lift_sl2_mod_n(sl_rows, level),
-                eval_point=eval_points[rep.i],
-                identity_class=(forms[rep.i] == principal
+                eval_point=QuadraticForm(q_form.a, -q_form.b, q_form.c),
+                value=None,
+                identity_class=(q_form == principal
                                 and _in_pm_gamma1(rep.gamma, level)),
             )
         )
@@ -241,7 +231,7 @@ def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
     pole_threshold = mpf(2) ** (cfg.target_bits // 2)
     data = []
     for item in prepared:
-        argument = item.eval_point.mobius(item.lifted)
+        argument = item.eval_point.transform(item.lifted.inverse())
         value = function.evaluate(argument, cfg)
         with mp.workprec(cfg.working_bits):
             if abs(value.to_mpc()) > pole_threshold:
@@ -249,16 +239,7 @@ def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
                     f"value of magnitude above 2^{cfg.target_bits // 2} at "
                     f"class (i={item.rep.i}, k={item.rep.k}); possible pole"
                 )
-        data.append(
-            ConjugateDatum(
-                rep=item.rep,
-                alpha=item.alpha,
-                lifted=item.lifted,
-                eval_point=item.eval_point,
-                value=value,
-                identity_class=item.identity_class,
-            )
-        )
+        data.append(replace(item, value=value))
     return data
 
 
@@ -310,7 +291,7 @@ def assemble_poly(data: list, job: ClassFieldJob):
     bits = base_value.precision_bits
     reality_threshold = mpf(2) ** (-(bits // 2))
     is_real = base_value.is_real_within(reality_threshold)
-    with mp.workprec(bits + job.precision.guard_bits):
+    with mp.workprec(bits + GUARD_BITS):
         roots = [d.value.to_mpc() for d in data]
         if not is_real:
             roots.extend(mp.conj(r) for r in roots[:])

@@ -1,7 +1,7 @@
 """Arbitrary-precision evaluation of the modular functions in the catalog.
 
 Every evaluator runs inside an mpmath working-precision context of
-target_bits + guard_bits and returns an APComplex tagged with the certified
+target_bits + GUARD_BITS and returns an APComplex tagged with the certified
 target precision.  All of them rest on one kernel, _theta_ctx, the Jacobi
 triple product summed as a series of about sqrt(bits / log2(1/|q|)) terms
 per side and cut by a certified tail bound: eta is Euler's pentagonal series
@@ -31,42 +31,38 @@ from .modgroup import (
 )
 
 
+GUARD_BITS = 64  # working headroom above the target precision
+ESCALATION_FACTOR = 2  # growth of bits and term budget per escalation
+
+
 @dataclass(frozen=True)
 class PrecisionConfig:
     """Knobs for one evaluation attempt.
 
-    target_bits is what the caller gets to rely on; guard_bits is the extra
-    working headroom; max_terms caps the number of terms of each theta
-    series.
+    target_bits is what the caller gets to rely on; max_terms caps the
+    number of terms of each theta series; max_escalations bounds the
+    retries at escalated precision.
     """
 
     target_bits: int = 256
-    guard_bits: int = 64
     max_terms: int = 500_000
-    escalation_factor: int = 2
     max_escalations: int = 3
 
     def __post_init__(self):
         if self.target_bits < 16:
             raise ValueError("target_bits must be at least 16")
-        if self.guard_bits < 32:
-            raise ValueError("guard_bits must be at least 32")
         if self.max_terms < 16:
             raise ValueError("max_terms too small")
-        if self.escalation_factor < 2:
-            raise ValueError("escalation_factor must be at least 2")
 
     @property
     def working_bits(self) -> int:
-        return self.target_bits + self.guard_bits
+        return self.target_bits + GUARD_BITS
 
     def escalated(self) -> "PrecisionConfig":
         """Next attempt: more precision and a matching term budget."""
         return PrecisionConfig(
-            target_bits=self.target_bits * self.escalation_factor,
-            guard_bits=self.guard_bits,
-            max_terms=self.max_terms * self.escalation_factor,
-            escalation_factor=self.escalation_factor,
+            target_bits=self.target_bits * ESCALATION_FACTOR,
+            max_terms=self.max_terms * ESCALATION_FACTOR,
             max_escalations=self.max_escalations,
         )
 
@@ -163,7 +159,7 @@ def _theta_ctx(q: mpc, x: mpc, cfg: PrecisionConfig, label: str) -> mpc:
                     abs_step *= absq
                     size *= abs_step
         lost = -mp.mag(total)  # bits cancelled away
-        if prec >= base + lost - cfg.guard_bits // 4:
+        if prec >= base + lost - GUARD_BITS // 4:
             return total
         prec = base + lost
 

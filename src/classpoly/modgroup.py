@@ -8,7 +8,6 @@ domain with a generator word recording the moves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -84,13 +83,9 @@ def translation(n: int) -> UnimodularMatrix:
 
 
 def mobius_apply(gamma: UnimodularMatrix, tau):
-    """Fractional-linear action of gamma on a point of the upper half-plane.
-
-    Accepts exact points (anything with a .mobius method) or inexact complex
-    values; the result type matches the input.
-    """
-    if hasattr(tau, "mobius"):
-        return tau.mobius(gamma)
+    """Fractional-linear action of gamma on a complex point of the upper
+    half-plane.  Exact points are forms; gamma acts on the root of a form Q
+    as Q.transform(gamma.inverse())."""
     z = mpc(tau)
     if z.imag <= 0:
         raise ValueError("point must lie in the upper half-plane")
@@ -205,26 +200,6 @@ class CosetTable:
             "tie_break": self.tie_break,
             "reps": [[g.a, g.b, g.c, g.d] for g in self.reps],
         }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "CosetTable":
-        level = int(data["level"])
-        tie_break = data.get("tie_break", "min")
-        reps = tuple(UnimodularMatrix(*map(int, r)) for r in data["reps"])
-        key_of = {
-            normalize_vector(g.a, g.c, level, tie_break): k
-            for k, g in enumerate(reps)
-        }
-        if len(key_of) != len(reps):
-            raise ValueError("coset table has duplicate classes")
-        return cls(level=level, reps=reps, key_of=key_of, tie_break=tie_break)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "CosetTable":
-        return cls.from_json_dict(json.loads(text))
 
 
 def enumerate_cosets(n: int, tie_break: str = "min") -> CosetTable:

@@ -2,84 +2,20 @@
 
 A form (a, b, c) stands for a*x^2 + b*x*y + c*y^2; throughout the package
 forms are primitive and positive definite, so the discriminant b^2 - 4ac is
-negative.  The order of discriminant D is Z[tau] where tau is a root of
-x^2 + b*x + c chosen in the upper half-plane.
+negative.  A form is also the exact CM point it determines, its root
+(-b + sqrt(D)) / (2a) in the upper half-plane: a matrix acts on the point by
+acting on the form.  The order of discriminant D is Z[tau] where tau is a
+root of x^2 + b*x + c chosen in the upper half-plane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from .modgroup import IDENTITY, S, UnimodularMatrix, translation
-
-
-@dataclass(frozen=True)
-class ExactCMPoint:
-    """Point u + v*sqrt(r) of the upper half-plane, with u, v rational.
-
-    r is a negative integer and v > 0.  Two points are equal when they agree
-    as complex numbers, regardless of how the radical is carried.
-    """
-
-    rational_part: Fraction
-    radical_coefficient: Fraction
-    radicand: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "rational_part", Fraction(self.rational_part))
-        object.__setattr__(
-            self, "radical_coefficient", Fraction(self.radical_coefficient)
-        )
-        if self.radicand >= 0:
-            raise ValueError("radicand must be negative")
-        if self.radical_coefficient <= 0:
-            raise ValueError("imaginary part must be positive")
-
-    def _key(self):
-        # (u, v^2 * r) determines the point: v > 0 and r < 0 fix the branch
-        return (self.rational_part, self.radical_coefficient ** 2 * self.radicand)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactCMPoint):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def neg_conjugate(self) -> "ExactCMPoint":
-        """-conj(self); stays in the upper half-plane."""
-        return ExactCMPoint(
-            -self.rational_part, self.radical_coefficient, self.radicand
-        )
-
-    def mobius(self, gamma: UnimodularMatrix) -> "ExactCMPoint":
-        """Exact fractional-linear image under a determinant-1 matrix."""
-        u, v, r = self.rational_part, self.radical_coefficient, self.radicand
-        # numerator (a u + b + a v s) with s = sqrt(r), denominator likewise
-        nu, nv = gamma.a * u + gamma.b, gamma.a * v
-        du, dv = gamma.c * u + gamma.d, gamma.c * v
-        # divide by du + dv s: multiply by conjugate; |den|^2 = du^2 - dv^2 r
-        norm = du * du - dv * dv * r
-        new_u = (nu * du - nv * dv * r) / norm
-        new_v = (nv * du - nu * dv) / norm
-        return ExactCMPoint(new_u, new_v, r)
-
-    def to_mpc(self) -> mpc:
-        """Value at the current working precision."""
-        u = mp.mpf(self.rational_part.numerator) / self.rational_part.denominator
-        v = (
-            mp.mpf(self.radical_coefficient.numerator)
-            / self.radical_coefficient.denominator
-        )
-        return u + v * mp.sqrt(mpc(self.radicand))
-
-    def __str__(self):
-        return f"{self.rational_part} + {self.radical_coefficient}*sqrt({self.radicand})"
 
 
 def _validate_discriminant(d: int) -> None:
@@ -128,13 +64,11 @@ class QuadraticForm:
             return False
         return True
 
-    def cm_point(self) -> ExactCMPoint:
-        """Root (-b + sqrt(D)) / (2a) of the form, in the upper half-plane."""
-        return ExactCMPoint(
-            Fraction(-self.b, 2 * self.a),
-            Fraction(1, 2 * self.a),
-            self.discriminant,
-        )
+    def to_mpc(self) -> mpc:
+        """The root (-b + sqrt(D)) / (2a), in the upper half-plane, at the
+        current working precision."""
+        two_a = 2 * self.a
+        return mpf(-self.b) / two_a + mpf(1) / two_a * mp.sqrt(mpc(self.discriminant))
 
     def __str__(self):
         return f"{self.a}x^2 + {self.b}xy + {self.c}y^2"
@@ -250,10 +184,6 @@ class CMOrder:
             fundamental_discriminant=discriminant // (f * f),
             conductor=f,
         )
-
-    def generator(self) -> ExactCMPoint:
-        """tau with Z[tau] the order: sqrt(D)/2 or (-1 + sqrt(D))/2."""
-        return ExactCMPoint(Fraction(-self.b, 2), Fraction(1, 2), self.disc)
 
     def principal_form(self) -> QuadraticForm:
         return QuadraticForm(1, self.b, self.c)

@@ -276,7 +276,7 @@ def test_criterion_7_hilbert_sanity(run_hilbert_52, run_hilbert_8):
         roots = [(-b + root_disc) / 2, (-b - root_disc) / 2]
         cfg = PrecisionConfig(target_bits=bits)
         values = [
-            eval_j(f.cm_point(), cfg).to_mpc() for f in reduced_forms(-52)
+            eval_j(f, cfg).to_mpc() for f in reduced_forms(-52)
         ]
         for v in values:
             ok = ok and min(abs(v - r) for r in roots) < tol

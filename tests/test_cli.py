@@ -1,5 +1,6 @@
 """Command-line interface: payload schemas, class grid, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,37 @@ def test_compute_emit_table(capsys):
     assert table["level"] == 5
     assert table["tie_break"] == "min"
     assert len(table["reps"]) == 12
+
+
+# SHA-256 of the JSON payload of `compute --format json --emit-conjugates
+# --emit-table`, with each conjugate's "value" removed, serialized with
+# sorted keys; recorded before forms replaced the separate exact-point type.
+GOLDEN_COMPUTE_DIGESTS = [
+    ("-52", "5", "rogers-ramanujan", "320",
+     "16d8b1604ef0527b67578fdcb894de9a7332881ef45d2633872eea22b9902463"),
+    ("-84", "7", "klein-quotient:1/7,0|2/7,0", "256",
+     "c90b8b47fbf5fce8b5588f5d3a021e4b9c498d0741b29566f14cc316ff28dafb"),
+    ("-52", "1", "j", "256",
+     "535c6979451f85129fd6c6e720388ed0b992d84c6898f84fd60909cb9da8cf6c"),
+]
+
+
+@pytest.mark.parametrize("disc, level, function, bits, digest", GOLDEN_COMPUTE_DIGESTS,
+                         ids=["rr-52-5", "klein-84-7", "j-52-1"])
+def test_compute_payload_matches_its_golden_digest(capsys, disc, level, function,
+                                                   bits, digest):
+    """Forms, coset table, twisting and lifted matrices, evaluation points,
+    polynomials and certificates, all pinned at once."""
+    rc, out, _ = run_cli(
+        capsys, "compute", "--disc", disc, "--level", level, "--function", function,
+        "--precision", bits, "--format", "json", "--emit-conjugates", "--emit-table",
+    )
+    assert rc == 0
+    payload = json.loads(out)
+    for conjugate in payload["conjugates"]:
+        del conjugate["value"]
+    got = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert got == digest
 
 
 def test_compute_tie_break_flag_changes_nothing(capsys):

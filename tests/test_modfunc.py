@@ -15,6 +15,7 @@ from classpoly.errors import NonConvergenceError
 from classpoly.modfunc import (
     APComplex,
     DEFAULT_PRECISION,
+    GUARD_BITS,
     PrecisionConfig,
     catalog_entries,
     catalog_lookup,
@@ -59,11 +60,7 @@ def test_precision_config_validation():
     with pytest.raises(ValueError):
         PrecisionConfig(target_bits=8)
     with pytest.raises(ValueError):
-        PrecisionConfig(guard_bits=16)
-    with pytest.raises(ValueError):
         PrecisionConfig(max_terms=4)
-    with pytest.raises(ValueError):
-        PrecisionConfig(escalation_factor=1)
 
 
 def test_precision_escalation_grows_bits_and_budget():
@@ -71,8 +68,8 @@ def test_precision_escalation_grows_bits_and_budget():
     up = cfg.escalated()
     assert up.target_bits == 200
     assert up.max_terms == 2000
-    assert up.guard_bits == cfg.guard_bits
-    assert cfg.working_bits == 100 + cfg.guard_bits
+    assert up.working_bits == 200 + GUARD_BITS
+    assert cfg.working_bits == 100 + GUARD_BITS
 
 
 def test_apcomplex_transport_is_lossless():

@@ -10,7 +10,6 @@ from classpoly.modgroup import (
     IDENTITY,
     S,
     T,
-    CosetTable,
     GeneratorWord,
     TOKEN_S,
     TOKEN_T,
@@ -200,23 +199,6 @@ def test_reps_index_their_own_columns():
         table = enumerate_cosets(5, tie_break)
         for k, g in enumerate(table.reps):
             assert table.index_of_column(g.a, g.c) == k
-
-
-def test_coset_table_json_round_trip():
-    table = enumerate_cosets(5)
-    loaded = CosetTable.loads(table.dumps())
-    assert loaded.level == table.level
-    assert loaded.tie_break == table.tie_break
-    assert loaded.reps == table.reps
-    assert loaded.key_of == table.key_of
-
-
-def test_coset_table_rejects_duplicates():
-    table = enumerate_cosets(5)
-    data = table.to_json_dict()
-    data["reps"][1] = data["reps"][0]
-    with pytest.raises(ValueError):
-        CosetTable.from_json_dict(data)
 
 
 def test_min_and_max_tables_cover_the_same_cosets():

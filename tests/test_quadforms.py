@@ -1,15 +1,20 @@
-"""Binary quadratic forms, reduction, and exact CM points."""
+"""Binary quadratic forms, reduction, and forms as exact CM points."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc
 
-from classpoly.modgroup import IDENTITY, S, T, UnimodularMatrix, translation
+from classpoly.modgroup import (
+    IDENTITY,
+    S,
+    T,
+    UnimodularMatrix,
+    mobius_apply,
+    translation,
+)
 from classpoly.quadforms import (
     CMOrder,
-    ExactCMPoint,
     QuadraticForm,
     class_number,
     reduce_form,
@@ -154,50 +159,70 @@ def test_reduced_forms_rejects_bad_discriminant():
 
 
 # ----------------------------------------------------------------------
-# exact CM points
+# forms as exact CM points
 # ----------------------------------------------------------------------
 
+def _mirror(q):
+    """The form whose root is -conj of q's root."""
+    return QuadraticForm(q.a, -q.b, q.c)
+
+
 def test_cm_point_values():
-    p = QuadraticForm(1, 0, 13).cm_point()
-    assert p.rational_part == 0
-    assert p.radical_coefficient == Fraction(1, 2)
-    assert p.radicand == -52
-    q = QuadraticForm(2, 2, 7).cm_point()
-    assert q.rational_part == Fraction(-1, 2)
-    assert q.radical_coefficient == Fraction(1, 4)
+    with mp.workprec(220):
+        tol = mp.mpf(2) ** -200
+        p = QuadraticForm(1, 0, 13).to_mpc()
+        assert abs(p - mpc(0, mp.sqrt(13))) < tol
+        q = QuadraticForm(2, 2, 7).to_mpc()
+        assert abs(q - mpc(mp.mpf(-1) / 2, mp.sqrt(13) / 2)) < tol
 
 
 def test_point_equality_across_radicands():
-    assert ExactCMPoint(0, Fraction(1, 2), -52) == ExactCMPoint(0, 1, -13)
-    assert hash(ExactCMPoint(0, Fraction(1, 2), -52)) == hash(ExactCMPoint(0, 1, -13))
-    assert ExactCMPoint(0, 1, -13) != ExactCMPoint(0, 1, -14)
+    """Equal points are equal forms: the root of (1, 0, 13), carried with
+    radicand -52, is i*sqrt(13) to the last bit, and forms with different
+    coefficients have different roots."""
+    with mp.workprec(220):
+        assert QuadraticForm(1, 0, 13).to_mpc() == mpc(0, mp.sqrt(13))
+        rng = random.Random(13)
+        forms = sorted({random_form(rng) for _ in range(60)},
+                       key=QuadraticForm.coefficients)
+        roots = [f.to_mpc() for f in forms]
+        for i in range(len(roots)):
+            for j in range(i + 1, len(roots)):
+                assert abs(roots[i] - roots[j]) > mp.mpf(2) ** -100
 
 
 def test_point_validation():
+    """A point off the upper half-plane has no form: a positive discriminant
+    or a negative leading coefficient is refused, and every root lies above
+    the real axis."""
     with pytest.raises(ValueError):
-        ExactCMPoint(0, 1, 13)
+        QuadraticForm(1, 0, -13)
     with pytest.raises(ValueError):
-        ExactCMPoint(0, -1, -13)
+        QuadraticForm(-1, 0, -13)
+    rng = random.Random(12)
+    with mp.workprec(100):
+        for _ in range(30):
+            assert random_form(rng).to_mpc().imag > 0
 
 
 def test_neg_conjugate_and_numeric_agreement():
-    p = QuadraticForm(2, 2, 7).cm_point()
-    q = p.neg_conjugate()
-    assert q.rational_part == Fraction(1, 2)
+    p = QuadraticForm(2, 2, 7)
+    q = _mirror(p)
+    assert q.coefficients() == (2, -2, 7)
     with mp.workprec(220):
         zp, zq = p.to_mpc(), q.to_mpc()
         assert abs(zq - (-mp.conj(zp))) < mp.mpf(2) ** -200
 
 
 def test_exact_mobius_matches_numeric_mobius():
+    """g moves the root of a form to the root of form.transform(g^-1)."""
     rng = random.Random(14)
     for _ in range(50):
         form = random_form(rng)
-        p = form.cm_point()
         g = random_sl2(rng, 12)
-        image = p.mobius(g)
+        image = form.transform(g.inverse())
         with mp.workprec(260):
-            z = p.to_mpc()
+            z = form.to_mpc()
             expected = (g.a * z + g.b) / (g.c * z + g.d)
             assert abs(image.to_mpc() - expected) < mp.mpf(2) ** -230
 
@@ -205,10 +230,12 @@ def test_exact_mobius_matches_numeric_mobius():
 def test_mobius_composition_and_identity():
     rng = random.Random(15)
     for _ in range(30):
-        p = random_form(rng).cm_point()
+        p = random_form(rng)
         g1, g2 = random_sl2(rng, 8), random_sl2(rng, 8)
-        assert p.mobius(IDENTITY) == p
-        assert p.mobius(g1 @ g2) == p.mobius(g2).mobius(g1)
+        assert p.transform(IDENTITY) == p
+        # (g1 g2) . tau = g1 . (g2 . tau)
+        assert (p.transform((g1 @ g2).inverse())
+                == p.transform(g2.inverse()).transform(g1.inverse()))
 
 
 def test_transformed_form_root_is_pulled_back_root():
@@ -217,17 +244,22 @@ def test_transformed_form_root_is_pulled_back_root():
     for _ in range(40):
         q = random_form(rng)
         g = random_sl2(rng, 10)
-        assert q.transform(g).cm_point() == q.cm_point().mobius(g.inverse())
+        t = q.transform(g)
+        with mp.workprec(260):
+            z = mobius_apply(g.inverse(), q.to_mpc())
+            assert abs(t.a * z * z + t.b * z + t.c) < mp.mpf(2) ** -200 * t.c
+            assert abs(t.to_mpc() - z) < mp.mpf(2) ** -230
 
 
 def test_neg_conjugate_intertwines_sign_flipped_action():
     """-conj(g . p) equals g' . (-conj p) with g' = diag-flip of g."""
     rng = random.Random(17)
     for _ in range(40):
-        p = random_form(rng).cm_point()
+        p = random_form(rng)
         g = random_sl2(rng, 10)
         flipped = UnimodularMatrix(g.a, -g.b, -g.c, g.d)
-        assert p.mobius(g).neg_conjugate() == p.neg_conjugate().mobius(flipped)
+        assert (_mirror(p.transform(g.inverse()))
+                == _mirror(p).transform(flipped.inverse()))
 
 
 # ----------------------------------------------------------------------
@@ -264,15 +296,14 @@ def test_order_conductors():
 
 def test_order_generator_and_principal_form():
     order = CMOrder.from_discriminant(-52)
-    assert order.generator() == ExactCMPoint(0, 1, -13)
     assert order.principal_form().coefficients() == (1, 0, 13)
     order23 = CMOrder.from_discriminant(-23)
     assert order23.principal_form().coefficients() == (1, 1, 6)
-    # the generator is a root of x^2 + b x + c
+    # the generator, the principal form's root, is a root of x^2 + b x + c
     for disc in (-52, -23, -7, -68, -84):
         order = CMOrder.from_discriminant(disc)
         with mp.workprec(220):
-            z = order.generator().to_mpc()
+            z = order.principal_form().to_mpc()
             assert abs(z * z + order.b * z + order.c) < mp.mpf(2) ** -190
 
 
