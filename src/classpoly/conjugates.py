@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import (
     CrossCheckError,
@@ -285,24 +286,35 @@ def assemble_poly(data: list, job: ClassFieldJob):
     is real the conjugate set is closed under complex conjugation already,
     otherwise each value is paired with its conjugate (degree doubles).
 
-    Returns (coefficients ascending as APComplex, used_reality_shortcut).
+    The schoolbook runs on Gaussian integers at scale 2^(bits + GUARD_BITS),
+    each product shifted back and rounded to nearest.  Returns (coefficients
+    ascending as APComplex, used_reality_shortcut).
     """
     base_value = _identity_value(data)
     bits = base_value.precision_bits
     reality_threshold = mpf(2) ** (-(bits // 2))
     is_real = base_value.is_real_within(reality_threshold)
-    with mp.workprec(bits + GUARD_BITS):
-        roots = [d.value.to_mpc() for d in data]
-        if not is_real:
-            roots.extend(mp.conj(r) for r in roots[:])
-        coeffs = [mpc(1)]
-        for root in roots:
-            nxt = [mpc(0)] * (len(coeffs) + 1)
-            for idx, c in enumerate(coeffs):
-                nxt[idx + 1] += c
-                nxt[idx] -= root * c
-            coeffs = nxt
-        out = [APComplex.from_mpc(c, bits) for c in coeffs]
+    shift = bits + GUARD_BITS
+    half = 1 << (shift - 1)
+    roots = [(to_fixed(d.value.re._mpf_, shift), to_fixed(d.value.im._mpf_, shift))
+             for d in data]
+    if not is_real:
+        roots += [(a, -b) for a, b in roots]
+    re, im = [1 << shift], [0]
+    for a, b in roots:  # times (x - root), in place from the constant term up
+        below_re = below_im = 0
+        for idx, (cr, ci) in enumerate(zip(re, im)):
+            re[idx] = below_re - ((a * cr - b * ci + half) >> shift)
+            im[idx] = below_im - ((a * ci + b * cr + half) >> shift)
+            below_re, below_im = cr, ci
+        re.append(below_re)
+        im.append(below_im)
+    out = [
+        APComplex(mp.make_mpf(from_man_exp(cr, -shift, shift, round_nearest)),
+                  mp.make_mpf(from_man_exp(ci, -shift, shift, round_nearest)),
+                  bits)
+        for cr, ci in zip(re, im)
+    ]
     return out, is_real
 
 

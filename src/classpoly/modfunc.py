@@ -4,7 +4,11 @@ Every evaluator runs inside an mpmath working-precision context of
 target_bits + GUARD_BITS and returns an APComplex tagged with the certified
 target precision.  All of them rest on one kernel, _theta_ctx, the Jacobi
 triple product summed as a series of about sqrt(bits / log2(1/|q|)) terms
-per side and cut by a certified tail bound: eta is Euler's pentagonal series
+per side and cut by a certified tail bound.  The kernel runs on Python
+integers, as Gaussian integers at a fixed scale 2^F whose guard bits above
+the working precision grow with the log of the side length, so that the
+rounding of every shift stays below half the working resolution in all:
+eta is Euler's pentagonal series
 theta(q^3, q), the level-5 value is q^(1/5) theta(q^5, q) / theta(q^5, q^2),
 j is Weber's (f^24 + 16)^3 / f^24 with f^24 = 2^12 q (P(q^2)/P(q))^24 and
 P(q) = theta(q^3, q), and a Klein form is a prefactor times
@@ -21,6 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, mpf_log, round_nearest, to_fixed, to_float
 
 from .errors import NonConvergenceError
 from .modgroup import (
@@ -129,35 +134,64 @@ def _theta_ctx(q: mpc, x: mpc, cfg: PrecisionConfig, label: str) -> mpc:
 
         prod (1-q^n)(1-q^(n-1) x)(1-q^n/x) = sum_m (-1)^m q^(m(m-1)/2) x^m,
 
-    summed outward from m = 0.  With |q| < 1 and |q| <= |x| <= 1, every step
-    past m = +-1 shrinks the term by at least |q|, so stopping each side at
-    its first term below res (1-|q|)/4, with res = 2^-prec the working
-    resolution, leaves a tail below res/2 in all.  No term exceeds 1, so a
-    small sum (near the real line) has lost log2(1/|sum|) bits; past a quarter
-    of the guard bits, the series is summed again with them added.  The
-    zeros x = 1 and x = q of the product are refused.
+    summed outward from m = 0 in fixed point: q, x and q/x become Gaussian
+    integers at scale 2^F, and each step and term is a Gaussian-integer
+    product shifted back by F bits, rounded to nearest.
+
+    With |q| < 1 and |q| <= |x| <= 1, every step past m = +-1 shrinks the
+    term by at least |q|, so stopping each side at its first term below
+    res (1-|q|)/4, with res = 2^-prec the working resolution, leaves a tail
+    below res/4 per side; the test is exact, on re^2 + im^2 against the cut
+    squared.  Since |t_m| <= |q|^(m(m-1)/2), no side runs past
+
+        n <= sqrt(2 (prec + log2(8/(1-|q|))) / log2(1/|q|)) + 2
+
+    terms.  Each shift is off by at most one unit 2^-F, errors in the steps
+    grow linearly and in the terms quadratically in m, so the terms summed
+    are off by at most 12 n^3 units, and the stopping test, run on computed
+    terms, leaves at most 12 n^4 units more tail (1/(1-|q|) <= n^2).  The
+    guard F - prec = 4 bitlen(n) + 6 keeps all of that below res/2: the
+    value returned is within res (1 + |sum|) of the series.
+
+    No term exceeds 1, so a small sum (near the real line) has lost
+    log2(1/|sum|) bits; past a quarter of the guard bits, the series is
+    summed again with them added.  The zeros x = 1 and x = q of the product
+    are refused.
     """
     absq = abs(q)
     if not (absq < 1 and absq <= abs(x) <= 1) or x in (1, q):
         raise ValueError(f"{label}: theta series needs |q| < 1, |q| <= |x| <= 1, x not 1 or q")
+    gap = 1 - absq
+    slope = -to_float(mpf_log(absq._mpf_, 53)) / math.log(2)  # inf at q = 0
+    gap_bits = -to_float(mpf_log(gap._mpf_, 53)) / math.log(2)
     base = prec = mp.prec
     terms = 0  # over all passes
     while True:
-        with mp.workprec(prec):
-            cut = mpf(2) ** -prec * (1 - absq) / 4
-            total = mpc(1)
-            for step in (x, q / x):  # -t_1 and -t_(-1); each later step gains a q
-                term = -step
-                abs_step = size = abs(step)
-                while size >= cut:
-                    total += term
-                    terms += 1
-                    if terms > cfg.max_terms:
-                        raise NonConvergenceError(f"{label} exceeded max_terms")
-                    step *= q
-                    term *= -step
-                    abs_step *= absq
-                    size *= abs_step
+        side = int(math.sqrt(2 * (prec + 3 + gap_bits) / slope)) + 2
+        guard = 4 * side.bit_length() + 6
+        shift = prec + guard
+        half = 1 << (shift - 1)
+        with mp.workprec(shift):
+            y = q / x
+        qr, qi = to_fixed(q.real._mpf_, shift), to_fixed(q.imag._mpf_, shift)
+        cut = to_fixed(gap._mpf_, guard - 2)  # res (1-|q|)/4, in units
+        cut2 = cut * cut
+        total_re, total_im = 1 << shift, 0
+        for step in (x, y):  # -t_1 and -t_(-1); each later step gains a q
+            sr, si = to_fixed(step.real._mpf_, shift), to_fixed(step.imag._mpf_, shift)
+            tr, ti = -sr, -si
+            while abs(tr) >= cut or abs(ti) >= cut or tr * tr + ti * ti >= cut2:
+                total_re += tr
+                total_im += ti
+                terms += 1
+                if terms > cfg.max_terms:
+                    raise NonConvergenceError(f"{label} exceeded max_terms")
+                sr, si = ((sr * qr - si * qi + half) >> shift,
+                          (sr * qi + si * qr + half) >> shift)
+                tr, ti = (-((tr * sr - ti * si + half) >> shift),
+                          -((tr * si + ti * sr + half) >> shift))
+        total = mp.make_mpc((from_man_exp(total_re, -shift, prec, round_nearest),
+                             from_man_exp(total_im, -shift, prec, round_nearest)))
         lost = -mp.mag(total)  # bits cancelled away
         if prec >= base + lost - GUARD_BITS // 4:
             return total
@@ -177,17 +211,23 @@ def _rr_product_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
 def _replay_value(word, value: mpc) -> mpc:
     """Given value = r(final point), undo the recorded reduction moves to get
     r at the original point.  Inverting a T^-1 move multiplies by zeta_5,
-    inverting a T move divides, and the S move rule is an involution."""
+    inverting a T move divides, so each run of translations is one product
+    with a power of zeta_5; the S move rule is an involution."""
     zeta = mp.expjpi(mpf(2) / 5)
+    zeta2 = zeta * zeta
+    powers = (1, zeta, zeta2, mp.conj(zeta2), mp.conj(zeta))  # zeta^k, k mod 5
     phi = (1 + mp.sqrt(5)) / 2
+    turns = 0  # pending power of zeta
     for token in reversed(word.tokens):
         if token == TOKEN_T_INV:
-            value = value * zeta
+            turns += 1
         elif token == TOKEN_T:
-            value = value / zeta
+            turns -= 1
         elif token == TOKEN_S:
+            value = powers[turns % 5] * value
+            turns = 0
             value = (1 - phi * value) / (phi + value)
-    return value
+    return powers[turns % 5] * value
 
 
 def _rr_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:

@@ -2,7 +2,9 @@
 
 Everything here recomputes a quantity through a *different* algorithm than
 the package: continued fractions instead of q-products, mpmath's own special
-functions (qp, kleinj, jtheta) instead of hand-rolled series, scan-and-solve
+functions (qp, kleinj, jtheta) instead of hand-rolled series, the theta series
+and the product of linear factors in mpmath floating point instead of the
+package's fixed-point integers, scan-and-solve
 enumeration instead of the package's loops, a rational Euclidean gcd instead
 of the package's modular one, and one json.dumps of the whole `table`
 document instead of the package's row templates.  Agreement between the two routes
@@ -16,9 +18,10 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import mpmath
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
-from classpoly.conjugates import cartan_order, walk_grid
+from classpoly.conjugates import _identity_value, cartan_order, walk_grid
+from classpoly.modfunc import APComplex, GUARD_BITS
 from classpoly.modgroup import UnimodularMatrix, enumerate_cosets
 from classpoly.polyalgebra import IntPolynomial
 from classpoly.quadforms import CMOrder, reduced_forms
@@ -88,6 +91,53 @@ def klein_theta_reference(r1, r2, tau, bits: int) -> mpc:
         th0 = mpmath.jtheta(1, 0, nome, 1)
         value = -2j * mp.expjpi(r1 * w) * th / th0
     return value
+
+
+def theta_reference(q: mpc, x: mpc) -> mpc:
+    """The triple-product series sum_m (-1)^m q^(m(m-1)/2) x^m in mpc
+    arithmetic at the ambient precision, with the package kernel's tail cut
+    res (1-|q|)/4 and its second pass against cancellation: the floating-point
+    route the fixed-point kernel replaced."""
+    absq = abs(q)
+    base = prec = mp.prec
+    while True:
+        with mp.workprec(prec):
+            cut = mpf(2) ** -prec * (1 - absq) / 4
+            total = mpc(1)
+            for step in (x, q / x):
+                term = -step
+                abs_step = size = abs(step)
+                while size >= cut:
+                    total += term
+                    step *= q
+                    term *= -step
+                    abs_step *= absq
+                    size *= abs_step
+        lost = -mp.mag(total)
+        if prec >= base + lost - GUARD_BITS // 4:
+            return total
+        prec = base + lost
+
+
+def assemble_reference(data, job):
+    """prod (x - value) by the schoolbook in mpc arithmetic at bits +
+    GUARD_BITS, with the package's reality shortcut; returns (coefficients
+    ascending as APComplex, is_real) like conjugates.assemble_poly."""
+    base_value = _identity_value(data)
+    bits = base_value.precision_bits
+    is_real = base_value.is_real_within(mpf(2) ** (-(bits // 2)))
+    with mp.workprec(bits + GUARD_BITS):
+        roots = [d.value.to_mpc() for d in data]
+        if not is_real:
+            roots.extend(mp.conj(r) for r in roots[:])
+        coeffs = [mpc(1)]
+        for root in roots:
+            nxt = [mpc(0)] * (len(coeffs) + 1)
+            for idx, c in enumerate(coeffs):
+                nxt[idx + 1] += c
+                nxt[idx] -= root * c
+            coeffs = nxt
+        return [APComplex.from_mpc(c, bits) for c in coeffs], is_real
 
 
 # ----------------------------------------------------------------------

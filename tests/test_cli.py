@@ -101,14 +101,16 @@ def test_compute_emit_table(capsys):
 
 # SHA-256 of the JSON payload of `compute --format json --emit-conjugates
 # --emit-table`, with each conjugate's "value" removed, serialized with
-# sorted keys; recorded before forms replaced the separate exact-point type.
+# sorted keys.  Recorded with the fixed-point theta kernel and assembly, whose
+# payloads differ from the mpc routes' only in the noise digits of the two
+# residuals under "verification".
 GOLDEN_COMPUTE_DIGESTS = [
     ("-52", "5", "rogers-ramanujan", "320",
-     "16d8b1604ef0527b67578fdcb894de9a7332881ef45d2633872eea22b9902463"),
+     "82a0b4a8209c1c245e2889be443774d013729ddb8887d9ea1780d735f399059d"),
     ("-84", "7", "klein-quotient:1/7,0|2/7,0", "256",
-     "c90b8b47fbf5fce8b5588f5d3a021e4b9c498d0741b29566f14cc316ff28dafb"),
+     "7f887db97517c8d5d38f3dd2870147e269e7ae319d8e889d9c986a5f5e3633f8"),
     ("-52", "1", "j", "256",
-     "535c6979451f85129fd6c6e720388ed0b992d84c6898f84fd60909cb9da8cf6c"),
+     "4f3ed064c28cdcc01a55ab774ab1ff074c877198b47e87689b4dc9253e6d53b7"),
 ]
 
 

@@ -44,7 +44,7 @@ from classpoly.polyalgebra import (
 )
 from classpoly.quadforms import CMOrder, QuadraticForm, reduced_forms
 
-from _oracles import random_principal_congruence
+from _oracles import assemble_reference, random_principal_congruence
 from frozen_values import (
     GOLDEN_MINUS_52_LEVEL_5_ASC,
     HILBERT_MINUS_52_ASC,
@@ -229,6 +229,28 @@ def test_assemble_poly_uses_reality_shortcut(golden_conjugates):
     coeffs, shortcut = assemble_poly(data, job)
     assert shortcut is True
     assert len(coeffs) == 25
+
+
+@pytest.mark.parametrize("disc, level, function, bits, degree, coeff_bits, is_real", [
+    (-52, 5, "j", 1024, 24, 589, True),  # 12 copies of H_-52
+    (-231, 5, "rogers-ramanujan", 256, 192, 147, False),  # values and conjugates
+])
+def test_fixed_point_assembly_matches_the_mpc_schoolbook(disc, level, function, bits,
+                                                         degree, coeff_bits, is_real):
+    """Within 2^-bits times each coefficient's size, at the largest
+    coefficients of the bench and the largest degree of the tests."""
+    job = ClassFieldJob.create(disc, level, function, bits)
+    data = compute_conjugates(job)
+    coeffs, shortcut = assemble_poly(data, job)
+    ref, ref_shortcut = assemble_reference(data, job)
+    assert shortcut is ref_shortcut is is_real
+    assert len(coeffs) == len(ref) == degree + 1
+    with mp.workprec(2 * bits):
+        for ours, theirs in zip(coeffs, ref):
+            assert ours.precision_bits == theirs.precision_bits == bits
+            gap = abs(ours.to_mpc() - theirs.to_mpc())
+            assert gap < mpf(2) ** -bits * max(1, abs(theirs.to_mpc()))
+        assert mp.mag(max(abs(c.to_mpc()) for c in ref)) == coeff_bits
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from _oracles import (
     random_principal_congruence,
     random_sl2,
     rr_continued_fraction,
+    theta_reference,
 )
 from frozen_values import RR_AT_SQRT_MINUS_13
 
@@ -335,6 +336,36 @@ def test_theta_kernel_rejects_points_outside_its_bound(q, x):
     with mp.workprec(128):
         with pytest.raises(ValueError):
             _theta_ctx(q, x, CFG128, "theta")
+
+
+@pytest.mark.parametrize("bits, tau, kind", [
+    (256, mpc(0, "0.001"), "pentagonal"),  # sum ~ 2^-372: the second pass
+    (256, mpc(0, "0.003"), "pentagonal"),
+    (1024, mpc("0.05", "0.01"), "|x| = 1"),
+    (1024, mpc("0.3", "0.05"), "|x| = |q|"),
+    (4096, mpc("0.2", "0.5"), "|x| = 1"),
+    (4096, mpc("-0.4", "0.6"), "|x| = |q|"),
+])
+def test_fixed_point_theta_kernel_meets_its_error_bound(bits, tau, kind):
+    """The fixed-point kernel against the mpc series run with 64 more bits:
+    within 2^-p (1 + |sum|), p the precision of the kernel's last pass (the
+    working precision plus the bits the sum cancelled, once that passes a
+    quarter of the guard bits)."""
+    cfg = PrecisionConfig(target_bits=bits, max_terms=2_000_000)
+    with mp.workprec(bits):
+        q = mp.expjpi(2 * tau)
+        if kind == "pentagonal":
+            q, x = q * q * q, q
+        elif kind == "|x| = 1":
+            x = mp.expjpi(mpf("0.74"))
+        else:
+            x = mpc(q.imag, q.real)  # i conj(q): |x| = |q| exactly
+        ours = _theta_ctx(q, x, cfg, "theta")
+    with mp.workprec(bits + 64):
+        ref = theta_reference(q, x)
+        lost = -mp.mag(ref)
+        last = bits + lost - 1 if lost > GUARD_BITS // 4 else bits
+        assert abs(ours - ref) < mpf(2) ** -last * (1 + abs(ref))
 
 
 @pytest.mark.parametrize("tau", [mpc(0, "0.003"), mpc(0, "0.001")])
