@@ -45,7 +45,6 @@ from .modfunc import (
 )
 from .modgroup import (
     CosetTable,
-    GeneratorWord,
     UnimodularMatrix,
     enumerate_cosets,
     fundamental_domain_reduce,

@@ -34,7 +34,6 @@ from .errors import (
 from .modfunc import (
     PrecisionConfig,
     catalog_entries,
-    catalog_lookup,
     check_icosahedral,
     check_klein_relation,
 )
@@ -147,12 +146,7 @@ def _emit_json(payload) -> None:
 # ----------------------------------------------------------------------
 
 def _cmd_compute(args) -> int:
-    job = ClassFieldJob(
-        order=CMOrder.from_discriminant(args.disc),
-        level=args.level,
-        function=catalog_lookup(args.function),
-        precision=PrecisionConfig(target_bits=args.precision),
-    )
+    job = ClassFieldJob.create(args.disc, args.level, args.function, args.precision)
     result = run(job, table=enumerate_cosets(args.level, args.tie_break))
     if args.format == "json":
         payload = {

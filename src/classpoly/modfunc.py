@@ -28,12 +28,8 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, mpf_log, round_nearest, to_fixed, to_float
 
 from .errors import NonConvergenceError
-from .modgroup import (
-    TOKEN_S,
-    TOKEN_T,
-    TOKEN_T_INV,
-    fundamental_domain_reduce,
-)
+from .modgroup import fundamental_domain_reduce
+from .quadforms import QuadraticForm, reduce_form
 
 
 GUARD_BITS = 64  # working headroom above the target precision
@@ -124,6 +120,20 @@ def _as_mpc(tau) -> mpc:
     return z
 
 
+def _reduce_point(tau, level: int = 1):
+    """(z, gamma) with z in the fundamental domain and level * tau = gamma z.
+
+    A form is reduced exactly, by Gauss reduction, and only the reduced root
+    is computed: level * tau is the root of (a, level b, level^2 c), divided
+    by its content.  Any other point goes through the numeric loop."""
+    if isinstance(tau, QuadraticForm):
+        a, b, c = tau.a, level * tau.b, level * level * tau.c
+        g = math.gcd(a, b, c)
+        reduced, gamma = reduce_form(QuadraticForm(a // g, b // g, c // g))
+        return reduced.to_mpc(), gamma
+    return fundamental_domain_reduce(_as_mpc(tau) * level)
+
+
 # ----------------------------------------------------------------------
 # the one series kernel and the evaluators built on it (callers hold the
 # working-precision context)
@@ -208,33 +218,30 @@ def _rr_product_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
             / _theta_ctx(q5, q2, cfg, "rr-product"))
 
 
-def _replay_value(word, value: mpc) -> mpc:
-    """Given value = r(final point), undo the recorded reduction moves to get
-    r at the original point.  Inverting a T^-1 move multiplies by zeta_5,
-    inverting a T move divides, so each run of translations is one product
-    with a power of zeta_5; the S move rule is an involution."""
+def _replay_value(gamma, value: mpc) -> mpc:
+    """Given value = r(z), return r(gamma z).  Euclid on the first column
+    peels gamma = T^k S gamma' until what is left is +-T^m; with
+    r(w + k) = zeta_5^k r(w) and r(S w) = (1 - phi r(w)) / (phi + r(w)),
+    the value is rebuilt from the innermost factor out."""
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    turns = []  # the k of each T^k S, outermost first
+    while c:
+        k = a // c  # leaves |k c - a| < |c|
+        turns.append(k)
+        a, b, c, d = c, d, k * c - a, k * d - b
     zeta = mp.expjpi(mpf(2) / 5)
     zeta2 = zeta * zeta
     powers = (1, zeta, zeta2, mp.conj(zeta2), mp.conj(zeta))  # zeta^k, k mod 5
     phi = (1 + mp.sqrt(5)) / 2
-    turns = 0  # pending power of zeta
-    for token in reversed(word.tokens):
-        if token == TOKEN_T_INV:
-            turns += 1
-        elif token == TOKEN_T:
-            turns -= 1
-        elif token == TOKEN_S:
-            value = powers[turns % 5] * value
-            turns = 0
-            value = (1 - phi * value) / (phi + value)
-    return powers[turns % 5] * value
+    value = powers[(b * d) % 5] * value  # +-T^m shifts by m = b d
+    for k in reversed(turns):
+        value = powers[k % 5] * (1 - phi * value) / (phi + value)
+    return value
 
 
-def _rr_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
-    if z.imag > 0.5:  # |q| < e^-pi: the series is short enough as it is
-        return _rr_product_ctx(z, cfg)
-    z_star, word = fundamental_domain_reduce(z)
-    return _replay_value(word, _rr_product_ctx(z_star, cfg))
+def _rr_ctx(tau, cfg: PrecisionConfig) -> mpc:
+    z, gamma = _reduce_point(tau)
+    return _replay_value(gamma, _rr_product_ctx(z, cfg))
 
 
 def _eta_product_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
@@ -243,12 +250,12 @@ def _eta_product_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
     return _theta_ctx(q * q * q, q, cfg, "eta-product")
 
 
-def _j_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
+def _j_ctx(tau, cfg: PrecisionConfig) -> mpc:
     """Klein j by Weber's (f^24 + 16)^3 / f^24, where f = f2 and
     f^24 = 2^12 q (P(q^2) / P(q))^24 with P(q) = prod (1-q^n) = theta(q^3, q),
-    after moving z into the fundamental domain (exact invariance)."""
-    z_star, _ = fundamental_domain_reduce(z)
-    q = mp.expjpi(2 * z_star)
+    after moving tau into the fundamental domain (exact invariance)."""
+    z, _ = _reduce_point(tau)
+    q = mp.expjpi(2 * z)
     q2 = q * q
     ratio = (_theta_ctx(q2 * q2 * q2, q2, cfg, "j")
              / _theta_ctx(q2 * q, q, cfg, "j"))
@@ -281,24 +288,25 @@ def _klein_numerator_ctx(r1: Fraction, r2: Fraction, z: mpc,
     return prefactor * _theta_ctx(q, qz, cfg, "klein-form")
 
 
-def _klein_quotient_ctx(p: tuple, s: tuple, w: mpc, cfg: PrecisionConfig) -> mpc:
-    """k_p(w) / k_s(w) with both theta series run in the fundamental domain.
+def _klein_quotient_ctx(p: tuple, s: tuple, tau, level: int,
+                        cfg: PrecisionConfig) -> mpc:
+    """k_p(w) / k_s(w) at w = level * tau, with both theta series run in the
+    fundamental domain.
 
-    With w* = M w, the law k_r(M^-1 w*) = (c'w* + d')^-1 k_(r M^-1)(w*)
+    With w = gamma w*, the law k_r(gamma w*) = (c w* + d)^-1 k_(r gamma)(w*)
     (Kubert-Lang K2) moves each parameter pair, and the automorphy factors
     cancel in the quotient.  K3, k_(a+b) = (-1)^(b1 b2 + b1 + b2)
     e^(-pi i (b1 a2 - b2 a1)) k_a for integral b, then brings each pair into
-    [0,1) x [0,1); it never becomes integral, since M is invertible over Z.
-    Both forms then sit at w*, so the prod (1-q^n)^3 that each numerator
-    carries cancels too.
+    [0,1) x [0,1); it never becomes integral, since gamma is invertible
+    over Z.  Both forms then sit at w*, so the prod (1-q^n)^3 that each
+    numerator carries cancels too.
     """
-    w_star, word = fundamental_domain_reduce(w)
-    m_inv = word.matrix().inverse()
+    w_star, gamma = _reduce_point(tau, level)
     half_turns = Fraction(0)  # the root of unity, as a multiple of pi
     forms = []
     for sign, (r1, r2) in ((1, p), (-1, s)):
-        a1 = r1 * m_inv.a + r2 * m_inv.c
-        a2 = r1 * m_inv.b + r2 * m_inv.d
+        a1 = r1 * gamma.a + r2 * gamma.c
+        a2 = r1 * gamma.b + r2 * gamma.d
         b1, b2 = math.floor(a1), math.floor(a2)
         a1, a2 = a1 - b1, a2 - b2
         half_turns += sign * (b1 * b2 + b1 + b2 - (b1 * a2 - b2 * a1))
@@ -322,10 +330,10 @@ def eval_rr_product(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
 
 
 def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Level-5 continued-fraction value; reduces low points to the
-    fundamental domain and replays the moves on the value."""
+    """Level-5 continued-fraction value; reduces the point to the
+    fundamental domain, a form exactly, and replays the matrix on the value."""
     with mp.workprec(cfg.working_bits):
-        value = _rr_ctx(_as_mpc(tau), cfg)
+        value = _rr_ctx(tau, cfg)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -341,7 +349,7 @@ def eval_eta(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
 def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
     """Klein j-function (1728 at i, 0 at the hexagonal point)."""
     with mp.workprec(cfg.working_bits):
-        value = _j_ctx(_as_mpc(tau), cfg)
+        value = _j_ctx(tau, cfg)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -369,9 +377,8 @@ def check_icosahedral(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     (x^20 - 228 x^15 + 494 x^10 + 228 x^5 + 1)^3 + j x^5 (x^10 + 11 x^5 - 1)^5,
     normalized by the largest of the two terms.  Returns an mpf."""
     with mp.workprec(cfg.working_bits):
-        z = _as_mpc(tau)
-        x = _rr_ctx(z, cfg)
-        jv = _j_ctx(z, cfg)
+        x = _rr_ctx(tau, cfg)
+        jv = _j_ctx(tau, cfg)
         # products, not **: mpmath's high-precision pow is log/exp
         x2 = x * x
         x5 = x2 * x2 * x
@@ -394,7 +401,7 @@ def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     of Klein forms k_(1/5,0) / k_(2/5,0) taken at 5*tau.  Returns an mpf."""
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
-        r_value = _rr_ctx(z, cfg)
+        r_value = _rr_ctx(tau, cfg)
         k1 = _klein_numerator_ctx(Fraction(1, 5), Fraction(0), 5 * z, cfg)
         k2 = _klein_numerator_ctx(Fraction(2, 5), Fraction(0), 5 * z, cfg)
         residual = abs(r_value - k1 / k2) / abs(r_value)
@@ -466,8 +473,7 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
 
     def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
         with mp.workprec(cfg.working_bits):
-            w = _as_mpc(tau) * level
-            value = _klein_quotient_ctx((p1, p2), (q1, q2), w, cfg)
+            value = _klein_quotient_ctx((p1, p2), (q1, q2), tau, level, cfg)
         return APComplex.from_mpc(value, cfg.target_bits)
 
     return ModularFunctionSpec(

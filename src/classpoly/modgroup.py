@@ -2,8 +2,8 @@
 
 Provides the matrix type used everywhere else, coset tables for the image of
 +-Gamma_1(N) inside SL2(Z), lifts from SL2(Z/N) back to SL2(Z), Mobius action
-on points of the upper half-plane, and reduction to the standard fundamental
-domain with a generator word recording the moves.
+on points of the upper half-plane, and numeric reduction to the standard
+fundamental domain together with the matrix that undoes it.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class UnimodularMatrix:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant must be 1: {self.rows()}")
 
-    @classmethod
-    def identity(cls) -> "UnimodularMatrix":
-        return cls(1, 0, 0, 1)
-
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
 
@@ -65,9 +61,6 @@ class UnimodularMatrix:
     def mod(self, n: int):
         """Entries reduced to [0, n), as a pair of row tuples."""
         return ((self.a % n, self.b % n), (self.c % n, self.d % n))
-
-    def first_column(self):
-        return (self.a, self.c)
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
@@ -216,65 +209,25 @@ def enumerate_cosets(n: int, tie_break: str = "min") -> CosetTable:
 # fundamental domain
 # ----------------------------------------------------------------------
 
-TOKEN_S = "S"
-TOKEN_T = "T"
-TOKEN_T_INV = "T^-1"
-
-_TOKEN_MATRIX = {TOKEN_S: S, TOKEN_T: T, TOKEN_T_INV: translation(-1)}
-
-
-@dataclass(frozen=True)
-class GeneratorWord:
-    """Sequence of generator moves, in the order they were applied."""
-
-    tokens: tuple
-
-    def __post_init__(self):
-        for t in self.tokens:
-            if t not in _TOKEN_MATRIX:
-                raise ValueError(f"unknown token {t!r}")
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def matrix(self) -> UnimodularMatrix:
-        """Product matrix; applying it equals applying the tokens in order."""
-        m = IDENTITY
-        for t in self.tokens:
-            m = _TOKEN_MATRIX[t] @ m
-        return m
-
-    def __str__(self):
-        return " ".join(self.tokens) if self.tokens else "(empty)"
-
-
-_MAX_TRANSLATION = 10 ** 6  # guards against absurd real parts
-
-
-def fundamental_domain_reduce(tau, prec: int | None = None):
+def fundamental_domain_reduce(tau):
     """Move tau into the standard fundamental domain for SL2(Z).
 
-    Returns (tau_star, word) where word records the applied generators, so
-    word.matrix() maps tau to tau_star.  Boundary ties (|tau| within
-    2^(-prec/2) of 1) are accepted on either side.
+    Returns (tau_star, gamma) with tau = gamma tau_star, the convention of
+    quadforms.reduce_form.  Boundary ties (|tau| within 2^(-prec/2) of 1, at
+    the working precision) are accepted on either side.
     """
-    if prec is None:
-        prec = mp.prec
     z = mpc(tau)
     if z.imag <= 0:
         raise ValueError("point must lie in the upper half-plane")
-    tol = mpf(2) ** (-(prec // 2))
-    tokens = []
-    max_iters = 64 * (prec + 64)
-    for _ in range(max_iters):
+    tol = mpf(2) ** (-(mp.prec // 2))
+    gamma = IDENTITY
+    for _ in range(64 * (mp.prec + 64)):
         shift = int(mp.nint(z.real))
         if shift:
-            if abs(shift) > _MAX_TRANSLATION:
-                raise ValueError("real part too large to reduce")
             z -= shift
-            tokens.extend([TOKEN_T_INV if shift > 0 else TOKEN_T] * abs(shift))
+            gamma = gamma @ translation(shift)
         if abs(z) ** 2 >= 1 - tol:
-            return z, GeneratorWord(tuple(tokens))
-        z = -1 / z
-        tokens.append(TOKEN_S)
+            return z, gamma
+        z = -1 / z  # S is its own inverse as a Mobius map
+        gamma = gamma @ S
     raise ValueError("fundamental domain reduction did not terminate")

@@ -109,9 +109,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def to_int_list(self):
-        return list(self.coeffs)
-
     def to_json_list(self):
         # decimal strings survive JSON integer-size limits in consumers
         return [str(c) for c in self.coeffs]

@@ -76,7 +76,8 @@ class QuadraticForm:
 
 def reduce_form(form: QuadraticForm):
     """Gauss reduction.  Returns (reduced, gamma) with form.transform(gamma)
-    equal to reduced; gamma is the exact witness in SL2(Z)."""
+    equal to reduced; gamma is the exact witness in SL2(Z), and the form's
+    root is gamma applied to the reduced root."""
     current = form
     gamma = IDENTITY
     for _ in range(10 ** 6):

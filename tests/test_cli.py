@@ -103,12 +103,13 @@ def test_compute_emit_table(capsys):
 # --emit-table`, with each conjugate's "value" removed, serialized with
 # sorted keys.  Recorded with the fixed-point theta kernel and assembly, whose
 # payloads differ from the mpc routes' only in the noise digits of the two
-# residuals under "verification".
+# residuals under "verification", and with exact points reduced by Gauss
+# reduction, which moved only the noise digits of max_rounding_residual.
 GOLDEN_COMPUTE_DIGESTS = [
     ("-52", "5", "rogers-ramanujan", "320",
-     "82a0b4a8209c1c245e2889be443774d013729ddb8887d9ea1780d735f399059d"),
+     "3b3403f0d480b35910a4437b43c955e6d7bf20b3b24ec3d6a353bf490795cea1"),
     ("-84", "7", "klein-quotient:1/7,0|2/7,0", "256",
-     "7f887db97517c8d5d38f3dd2870147e269e7ae319d8e889d9c986a5f5e3633f8"),
+     "af4e9404d475a913258d67ff3cb8a6aa45780851335ff9113f23edb9380f9819"),
     ("-52", "1", "j", "256",
      "4f3ed064c28cdcc01a55ab774ab1ff074c877198b47e87689b4dc9253e6d53b7"),
 ]

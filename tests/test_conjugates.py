@@ -25,6 +25,7 @@ from classpoly.errors import (
     PrecisionExhaustedError,
     RoundingFailureError,
 )
+from classpoly import modfunc
 from classpoly.modfunc import (
     APComplex,
     ModularFunctionSpec,
@@ -330,6 +331,24 @@ def test_run_escalates_until_the_power_structure_resolves():
     assert result.escalations == 2
     assert result.precision_bits_used == 1024
     assert result.irreducible == IntPolynomial(HILBERT_MINUS_52_ASC)
+
+
+@pytest.mark.parametrize("disc, level, function, bits, degree, exponent", [
+    (-52, 5, "rogers-ramanujan", 320, 24, 1),
+    (-84, 7, "klein-quotient:1/7,0|2/7,0", 256, 84, 1),
+    (-52, 5, "j", 256, 24, 12),
+])
+def test_run_reduces_exact_points_without_the_numeric_loop(
+        monkeypatch, disc, level, function, bits, degree, exponent):
+    """Every evaluation point of run() is a form, reduced exactly by Gauss
+    reduction; the numeric reduction loop is never entered."""
+    def refuse(tau):
+        raise AssertionError("numeric reduction called on an exact point")
+
+    monkeypatch.setattr(modfunc, "fundamental_domain_reduce", refuse)
+    result = run(ClassFieldJob.create(disc, level, function, bits))
+    assert result.polynomial.degree == degree
+    assert result.exponent == exponent
 
 
 def test_run_is_independent_of_the_tie_break():

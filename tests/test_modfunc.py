@@ -26,8 +26,11 @@ from classpoly.modfunc import (
     eval_klein,
     eval_rr,
     eval_rr_product,
+    _replay_value,
     _theta_ctx,
 )
+from classpoly.modgroup import S, UnimodularMatrix, mobius_apply, translation
+from classpoly.quadforms import reduced_forms
 
 from _oracles import (
     eta_reference,
@@ -174,6 +177,25 @@ def test_rr_replay_agrees_with_direct_product_near_real_axis():
         direct = eval_rr_product(tau, big).to_mpc()
         with mp.workprec(220):
             assert abs(via_replay - direct) < mpf(2) ** -100
+
+
+def test_replay_value_is_r_at_the_moved_point():
+    """_replay_value(gamma, r(z)) is r(gamma z), for gamma = -I, pure
+    translations of either sign, S, and random matrices with c < 0, c = 0
+    and entries up to about 50; the cross-route is the unreduced product."""
+    rng = random.Random(41)
+    minus_one = UnimodularMatrix(-1, 0, 0, -1)
+    gammas = [minus_one, translation(7), minus_one @ translation(-13), S]
+    gammas += [random_sl2(rng, 50) for _ in range(12)]
+    assert any(g.c < 0 for g in gammas) and any(g.c == 0 for g in gammas)
+    cfg = PrecisionConfig(target_bits=128)
+    with mp.workprec(cfg.working_bits):
+        z = mpc("0.1037", "1.41")
+        r_z = eval_rr_product(z, cfg).to_mpc()
+        for gamma in gammas:
+            got = _replay_value(gamma, r_z)
+            want = eval_rr_product(mobius_apply(gamma, z), cfg).to_mpc()
+            assert abs(got - want) < mpf(2) ** -100 * max(1, abs(want)), gamma
 
 
 def test_rr_principal_congruence_invariance_sample():
@@ -528,6 +550,20 @@ def test_reduced_klein_quotient_converges_where_the_raw_product_cannot():
     # the continued-fraction value, reduced by its own S/T rules
     with mp.workprec(220):
         assert abs(got - eval_rr(tau, CFG128).to_mpc()) < mpf(2) ** -100
+
+
+@pytest.mark.parametrize("name", ["j", "rogers-ramanujan", "klein-quotient:1/7,0|2/7,0"])
+def test_exact_reduction_agrees_with_the_numeric_loop(name):
+    """An evaluator at a scrambled form, reduced by Gauss reduction, gives
+    the value it gives at the form's root as an mpc, reduced numerically."""
+    spec = catalog_lookup(name)
+    rng = random.Random(43)
+    for form in reduced_forms(-84):
+        scrambled = form.transform(random_sl2(rng, 9))
+        exact = spec.evaluate(scrambled, CFG192).to_mpc()
+        with mp.workprec(CFG192.working_bits):
+            numeric = spec.evaluate(scrambled.to_mpc(), CFG192).to_mpc()
+            assert abs(exact - numeric) < mpf(2) ** -150 * max(1, abs(exact))
 
 
 def test_same_value_across_precisions():
