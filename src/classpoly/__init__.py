@@ -48,7 +48,6 @@ from .modgroup import (
     UnimodularMatrix,
     enumerate_cosets,
     fundamental_domain_reduce,
-    lift_sl2_mod_n,
     lift_vector_to_sl2,
     mobius_apply,
     normalize_vector,

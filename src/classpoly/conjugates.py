@@ -3,8 +3,8 @@
 Pipeline: enumerate reduced forms, walk the coset representatives, keep the
 transformed forms whose leading coefficient is invertible mod the level
 (each surviving pair represents one extended class exactly once), build per
-class a matrix that twists the function, lift it to an integer matrix, and
-evaluate the function at the lifted image of the form's mirrored root.  The
+class the integer matrix T^u * hat(gamma) that twists the function, and
+evaluate the function at its image of the form's mirrored root.  The
 product of (x - value) over all classes rounds to an integer polynomial,
 whose squarefree part is the minimal polynomial of the value at the order's
 own generator.
@@ -33,7 +33,7 @@ from .modfunc import (
     ModularFunctionSpec,
     PrecisionConfig,
 )
-from .modgroup import CosetTable, UnimodularMatrix, enumerate_cosets, lift_sl2_mod_n
+from .modgroup import CosetTable, UnimodularMatrix, enumerate_cosets, translation
 from .polyalgebra import (
     IntPolynomial,
     eval_poly,
@@ -70,7 +70,9 @@ class ConjugateDatum:
     """Everything recorded for one class: the matrices, the base point (the
     mirrored reduced form (a, -b, c), whose root is -conj of the reduced
     form's root), and the function value at the root of
-    eval_point.transform(lifted.inverse()), the lifted image of that point."""
+    eval_point.transform(lifted.inverse()), the image of that point under
+    lifted = T^u * hat(gamma), an exact SL2(Z) matrix; alpha is lifted reduced
+    mod the level, with its bottom row times the inverse of form.a."""
 
     rep: ExtendedClassRep
     alpha: tuple  # 2x2 rows mod level, determinant = inverse of form.a
@@ -162,26 +164,23 @@ def cartan_order(order: CMOrder, level: int) -> CartanOrder:
 
 
 def _conjugate_rows(rep: ExtendedClassRep, order: CMOrder, level: int):
-    """Mod-level matrices for one class: the full twisting matrix (whose
-    lower-right block carries the inverse of the leading coefficient) and its
-    determinant-one companion used for lifting."""
+    """The matrices of one class: alpha, the mod-level twisting matrix, and
+    lifted = T^u * hat(gamma) in SL2(Z) with u = -a^-1 (b + b0)/2 mod the
+    level; alpha is lifted reduced mod the level, bottom row times a^-1."""
     a_ik, b_ik = rep.form.a, rep.form.b
     if (b_ik + order.b) % 2:
         raise CrossCheckError("form and order middle coefficients differ mod 2")
-    half = (b_ik + order.b) // 2
     a_inv = pow(a_ik, -1, level)
-    u = (-a_inv * half) % level
-    ghat = rep.gamma.hat()
-    top = ((ghat.a + u * ghat.c) % level, (ghat.b + u * ghat.d) % level)
-    gl_rows = (top, ((a_inv * ghat.c) % level, (a_inv * ghat.d) % level))
-    sl_rows = (top, (ghat.c % level, ghat.d % level))
-    return gl_rows, sl_rows
+    u = (-a_inv * ((b_ik + order.b) // 2)) % level
+    lifted = translation(u) @ rep.gamma.hat()
+    top, (c, d) = lifted.mod(level)
+    return (top, ((a_inv * c) % level, (a_inv * d) % level)), lifted
 
 
 def conjugate_matrix(rep: ExtendedClassRep, order: CMOrder, level: int):
     """The mod-level matrix that produces this class's conjugate value."""
-    gl_rows, _ = _conjugate_rows(rep, order, level)
-    return gl_rows
+    alpha, _ = _conjugate_rows(rep, order, level)
+    return alpha
 
 
 def _in_pm_gamma1(gamma: UnimodularMatrix, level: int) -> bool:
@@ -198,13 +197,13 @@ def _prepare_classes(order: CMOrder, level: int, table: CosetTable) -> list:
     principal = order.principal_form()
     prepared = []
     for rep in build_extended_classes(order, level, table):
-        gl_rows, sl_rows = _conjugate_rows(rep, order, level)
+        alpha, lifted = _conjugate_rows(rep, order, level)
         q_form = forms[rep.i]
         prepared.append(
             ConjugateDatum(
                 rep=rep,
-                alpha=gl_rows,
-                lifted=lift_sl2_mod_n(sl_rows, level),
+                alpha=alpha,
+                lifted=lifted,
                 eval_point=QuadraticForm(q_form.a, -q_form.b, q_form.c),
                 value=None,
                 identity_class=(q_form == principal
@@ -219,12 +218,19 @@ def _prepare_classes(order: CMOrder, level: int, table: CosetTable) -> list:
     return prepared
 
 
-def _require_rational_coefficients(function: ModularFunctionSpec) -> None:
-    if not function.has_rational_coefficients:
+def _prepare(job: ClassFieldJob, table: CosetTable | None):
+    """The checks and class data shared by run() and compute_conjugates():
+    the coset table (built when None) and the unevaluated classes."""
+    if not job.function.has_rational_coefficients:
         raise ValueError(
-            f"function {function.name!r} lacks rational Fourier coefficients; "
-            "the conjugate construction does not apply"
+            f"function {job.function.name!r} lacks rational Fourier "
+            "coefficients; the conjugate construction does not apply"
         )
+    if table is None:
+        table = enumerate_cosets(job.level)
+    if table.level != job.level:
+        raise ValueError("coset table level does not match the job")
+    return table, _prepare_classes(job.order, job.level, table)
 
 
 def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
@@ -265,10 +271,7 @@ def compute_conjugates(job: ClassFieldJob,
                        table: CosetTable | None = None) -> list:
     """Evaluate the function once per extended class.  Escalates precision on
     non-convergence, then gives up."""
-    _require_rational_coefficients(job.function)
-    if table is None:
-        table = enumerate_cosets(job.level)
-    prepared = _prepare_classes(job.order, job.level, table)
+    _, prepared = _prepare(job, table)
     return _escalate(
         job, lambda cfg, _: _evaluate_classes(prepared, job.function, cfg)
     )
@@ -341,13 +344,8 @@ class RunResult:
 
 def run(job: ClassFieldJob, table: CosetTable | None = None) -> RunResult:
     """Full pipeline with cross-checks and precision escalation."""
-    _require_rational_coefficients(job.function)
-    if table is None:
-        table = enumerate_cosets(job.level)
-    if table.level != job.level:
-        raise ValueError("coset table level does not match the job")
+    table, prepared = _prepare(job, table)
     forms = reduced_forms(job.order.disc)
-    prepared = _prepare_classes(job.order, job.level, table)
     cartan = cartan_order(job.order, job.level)
     expected = len(forms) * cartan.quotient
     if len(prepared) != expected:

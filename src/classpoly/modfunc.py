@@ -89,9 +89,6 @@ class APComplex:
         # raw construction: independent of the ambient precision
         return mp.make_mpc((self.re._mpf_, self.im._mpf_))
 
-    def conjugate(self) -> "APComplex":
-        return APComplex(self.re, -self.im, self.precision_bits)
-
     def is_real_within(self, threshold) -> bool:
         return abs(self.im) < threshold
 

@@ -1,9 +1,10 @@
 """Integer 2x2 matrices of determinant 1 and their congruence structure.
 
 Provides the matrix type used everywhere else, coset tables for the image of
-+-Gamma_1(N) inside SL2(Z), lifts from SL2(Z/N) back to SL2(Z), Mobius action
-on points of the upper half-plane, and numeric reduction to the standard
-fundamental domain together with the matrix that undoes it.
++-Gamma_1(N) inside SL2(Z) (each coset's column mod N completed to an SL2(Z)
+matrix), Mobius action on points of the upper half-plane, and numeric
+reduction to the standard fundamental domain together with the matrix that
+undoes it.
 """
 
 from __future__ import annotations
@@ -134,27 +135,6 @@ def lift_vector_to_sl2(a: int, c: int, n: int) -> UnimodularMatrix:
     u -= shift * cp
     v += shift * ap
     return UnimodularMatrix(ap, -v, cp, u)
-
-
-def lift_sl2_mod_n(rows, n: int) -> UnimodularMatrix:
-    """Lift a matrix in SL2(Z/n) to SL2(Z), congruent entrywise mod n.
-
-    rows is ((m11, m12), (m21, m22)); its determinant must be 1 mod n.
-    """
-    (m11, m12), (m21, m22) = rows
-    if n == 1:
-        return IDENTITY
-    if (m11 * m22 - m12 * m21) % n != 1:
-        raise ValueError("matrix determinant is not 1 mod n")
-    g0 = lift_vector_to_sl2(m11, m21, n)
-    # g0^(-1) * M is unit upper triangular mod n; extract the translation part
-    inv = g0.inverse()
-    b11 = inv.a * m11 + inv.b * m21
-    b12 = inv.a * m12 + inv.b * m22
-    b21 = inv.c * m11 + inv.d * m21
-    b22 = inv.c * m12 + inv.d * m22
-    assert b21 % n == 0 and b11 % n == 1 and b22 % n == 1
-    return g0 @ translation(b12 % n)
 
 
 def _coset_class_keys(n: int, tie_break: str):

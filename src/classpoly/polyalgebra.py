@@ -113,10 +113,6 @@ class IntPolynomial:
         # decimal strings survive JSON integer-size limits in consumers
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json_list(cls, items) -> "IntPolynomial":
-        return cls(int(s) for s in items)
-
     def __str__(self):
         if self.is_zero():
             return "0"

@@ -11,6 +11,8 @@ from classpoly.conjugates import (
     CartanOrder,
     ClassFieldJob,
     ExtendedClassRep,
+    _conjugate_rows,
+    _prepare_classes,
     assemble_poly,
     build_extended_classes,
     cartan_order,
@@ -34,9 +36,10 @@ from classpoly.modfunc import (
     eval_rr,
 )
 from classpoly.modgroup import (
+    UnimodularMatrix,
     enumerate_cosets,
-    lift_sl2_mod_n,
     mobius_apply,
+    translation,
 )
 from classpoly.polyalgebra import (
     IntPolynomial,
@@ -125,6 +128,21 @@ def test_conjugate_matrix_structure():
             assert det % level == a_inv % level
 
 
+@pytest.mark.parametrize("disc, level", [(-52, 5), (-23, 2), (-68, 5), (-84, 7)])
+def test_lifted_matrix_is_the_exact_twist(disc, level):
+    """Each class's SL2(Z) matrix is T^u * hat(gamma) over Z, with
+    u = -a^-1 (b + b0)/2 mod the level; mod the level it is alpha with the
+    bottom row multiplied back by a."""
+    order = CMOrder.from_discriminant(disc)
+    for d in _prepare_classes(order, level, enumerate_cosets(level)):
+        a, b = d.rep.form.a, d.rep.form.b
+        u = (-pow(a, -1, level) * ((b + order.b) // 2)) % level
+        assert d.lifted == translation(u) @ d.rep.gamma.hat()
+        top, bottom = d.lifted.mod(level)
+        assert top == d.alpha[0]
+        assert bottom == ((a * d.alpha[1][0]) % level, (a * d.alpha[1][1]) % level)
+
+
 # ----------------------------------------------------------------------
 # conjugate data
 # ----------------------------------------------------------------------
@@ -185,44 +203,45 @@ def test_conjugate_values_are_pairwise_distinct(golden_conjugates):
                 assert abs(values[i] - values[j]) > mpf(2) ** -50
 
 
+def _class_value(rep, order, level, fn):
+    _, lifted = _conjugate_rows(rep, order, level)
+    f = reduced_forms(order.disc)[rep.i]
+    point = QuadraticForm(f.a, -f.b, f.c).transform(lifted.inverse())
+    return fn.evaluate(point, CFG192).to_mpc()
+
+
 def test_value_is_independent_of_the_coset_representative():
     """Replacing a class representative gamma by gamma * delta with delta in
-    the sign-extended level subgroup must not change the conjugate value."""
+    the sign-extended level subgroup must not change the conjugate value.
+    This is the Gamma(N)-invariance that lets the exact matrix T^u * hat(gamma)
+    stand for every SL2(Z) matrix congruent to it; checked for
+    rogers-ramanujan at (-52, 5) and a Klein quotient at (-84, 7)."""
     rng = random.Random(51)
-    order = CMOrder.from_discriminant(-52)
-    level = 5
-    fn = catalog_lookup("rogers-ramanujan")
-    reps = build_extended_classes(order, level)
-
-    def class_value(rep):
-        alpha = conjugate_matrix(rep, order, level)
-        a = rep.form.a % level
-        sl_rows = (alpha[0], ((a * alpha[1][0]) % level, (a * alpha[1][1]) % level))
-        lifted = lift_sl2_mod_n(sl_rows, level)
-        f = reduced_forms(order.disc)[rep.i]
-        point = QuadraticForm(f.a, -f.b, f.c).transform(lifted.inverse())
-        return fn.evaluate(point, CFG192).to_mpc()
-
-    from classpoly.modgroup import UnimodularMatrix, translation
-
     minus_one = UnimodularMatrix(-1, 0, 0, -1)
-    for rep in (reps[0], reps[7], reps[13]):
-        base = class_value(rep)
-        for _ in range(4):
-            # a general subgroup element: principal-congruence part, a free
-            # upper-right translation, and possibly the global sign
-            delta = random_principal_congruence(rng, level)
-            delta = delta @ translation(rng.randint(-6, 6))
-            if rng.random() < 0.5:
-                delta = delta @ minus_one
-            shifted = ExtendedClassRep(
-                i=rep.i,
-                k=rep.k,
-                gamma=rep.gamma @ delta,
-                form=rep.form.transform(delta),
-            )
-            with mp.workprec(260):
-                assert abs(class_value(shifted) - base) < mpf(2) ** -170
+    for disc, level, name in ((-52, 5, "rogers-ramanujan"),
+                              (-84, 7, "klein-quotient:1/7,0|2/7,0")):
+        order = CMOrder.from_discriminant(disc)
+        fn = catalog_lookup(name)
+        reps = build_extended_classes(order, level)
+        for rep in (reps[0], reps[7], reps[13]):
+            base = _class_value(rep, order, level, fn)
+            for _ in range(4):
+                # a general subgroup element: principal-congruence part, a
+                # free upper-right translation, and possibly the global sign
+                delta = random_principal_congruence(rng, level)
+                delta = delta @ translation(rng.randint(-6, 6))
+                if rng.random() < 0.5:
+                    delta = delta @ minus_one
+                shifted = ExtendedClassRep(
+                    i=rep.i,
+                    k=rep.k,
+                    gamma=rep.gamma @ delta,
+                    form=rep.form.transform(delta),
+                )
+                value = _class_value(shifted, order, level, fn)
+                with mp.workprec(260):
+                    gap = abs(value - base)
+                    assert gap < mpf(2) ** -170 * max(1, abs(base)), (name, rep)
 
 
 def test_assemble_poly_uses_reality_shortcut(golden_conjugates):
@@ -379,6 +398,16 @@ def test_run_rejects_non_rational_functions():
     job = ClassFieldJob.create(-52, 5, "klein-quotient:1/5,1/5|2/5,0")
     with pytest.raises(ValueError):
         run(job)
+
+
+@pytest.mark.parametrize("table_level", [1, 7])
+def test_run_and_compute_conjugates_reject_a_table_of_another_level(table_level):
+    job = ClassFieldJob.create(-52, 5, "rogers-ramanujan", 192)
+    table = enumerate_cosets(table_level)
+    with pytest.raises(ValueError, match="coset table level"):
+        run(job, table=table)
+    with pytest.raises(ValueError, match="coset table level"):
+        compute_conjugates(job, table)
 
 
 def test_run_rejects_mismatched_table():

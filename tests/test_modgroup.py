@@ -13,7 +13,6 @@ from classpoly.modgroup import (
     UnimodularMatrix,
     enumerate_cosets,
     fundamental_domain_reduce,
-    lift_sl2_mod_n,
     lift_vector_to_sl2,
     mobius_apply,
     normalize_vector,
@@ -133,29 +132,6 @@ def test_lift_vector_congruence():
                     continue
                 g = lift_vector_to_sl2(a, c, n)
                 assert g.a % n == a and g.c % n == c
-
-
-def test_lift_sl2_congruence():
-    rng = random.Random(25)
-    for n in (2, 3, 4, 5, 6, 7, 11):
-        for _ in range(20):
-            g = random_sl2(rng)
-            rows = ((g.a % n, g.b % n), (g.c % n, g.d % n))
-            lifted = lift_sl2_mod_n(rows, n)
-            assert lifted.mod(n) == rows
-    assert lift_sl2_mod_n(((0, 0), (0, 0)), 1) == IDENTITY
-
-
-def test_lift_sl2_worked_example():
-    lifted = lift_sl2_mod_n(((0, 4), (1, 2)), 5)
-    assert lifted.mod(5) == ((0, 4), (1, 2))
-    # the translation part lands exactly when the column already lifts
-    assert lift_sl2_mod_n(((1, 2), (0, 1)), 5) == UnimodularMatrix(1, 2, 0, 1)
-
-
-def test_lift_sl2_rejects_wrong_determinant():
-    with pytest.raises(ValueError):
-        lift_sl2_mod_n(((1, 1), (1, 1)), 5)
 
 
 # ----------------------------------------------------------------------
