@@ -38,7 +38,7 @@ from .modfunc import (
     check_klein_relation,
 )
 from .modgroup import enumerate_cosets
-from .quadforms import CMOrder, reduced_forms
+from .quadforms import FORM_TEXT, CMOrder, reduced_forms
 
 
 # ----------------------------------------------------------------------
@@ -275,12 +275,12 @@ _JSON_CELL = (
 
 
 def _json_cell(i, k, f, p) -> str:
-    return _JSON_CELL % (i, k, f.a, f.b, f.c, "true" if p else "false")
+    return _JSON_CELL % (i, k, *f, "true" if p else "false")
 
 
 def _text_cell(i, k, f, p) -> str:
     return (
-        f"  (i={i}, k={k}) {str(f):30s}"
+        f"  (i={i}, k={k}) {FORM_TEXT % f:30s}"
         f" {'pass' if p else 'skip (leading coeff shares a factor)'}\n"
     )
 

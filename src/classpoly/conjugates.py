@@ -126,12 +126,21 @@ class ClassFieldJob:
 
 def walk_grid(forms: list, table: CosetTable, level: int):
     """Every (form, coset) cell of the grid, in order: (i, k, gamma, the
-    transformed form, whether its leading coefficient is invertible mod the
-    level)."""
-    for i, q_form in enumerate(forms):
-        for k, gamma in enumerate(table.reps):
-            transformed = q_form.transform(gamma)
-            yield i, k, gamma, transformed, gcd(transformed.a, level) == 1
+    coefficients (a', b', c') of the form transformed by gamma, whether a' is
+    invertible mod the level).  The nine products of each rep are taken once,
+    so a cell is three dot products with (a, b, c).  Cells are not validated:
+    each form and each rep was validated once, and a determinant-1
+    substitution keeps the discriminant and primitivity."""
+    weights = [(g, g.a * g.a, g.a * g.c, g.c * g.c,
+                2 * g.a * g.b, g.a * g.d + g.b * g.c, 2 * g.c * g.d,
+                g.b * g.b, g.b * g.d, g.d * g.d) for g in table.reps]
+    for i, form in enumerate(forms):
+        a, b, c = form.a, form.b, form.c
+        for k, (gamma, aa, ab, ac, ba, bb, bc, ca, cb, cc) in enumerate(weights):
+            a1 = a * aa + b * ab + c * ac
+            b1 = a * ba + b * bb + c * bc
+            c1 = a * ca + b * cb + c * cc
+            yield i, k, gamma, (a1, b1, c1), gcd(a1, level) == 1
 
 
 def build_extended_classes(order: CMOrder, level: int,
@@ -141,8 +150,8 @@ def build_extended_classes(order: CMOrder, level: int,
     if table is None:
         table = enumerate_cosets(level)
     return [
-        ExtendedClassRep(i=i, k=k, gamma=gamma, form=transformed)
-        for i, k, gamma, transformed, passes
+        ExtendedClassRep(i=i, k=k, gamma=gamma, form=QuadraticForm(*coeffs))
+        for i, k, gamma, coeffs, passes
         in walk_grid(reduced_forms(order.disc), table, level)
         if passes
     ]

@@ -25,6 +25,10 @@ def _validate_discriminant(d: int) -> None:
         raise ValueError("discriminant must be 0 or 1 mod 4")
 
 
+# How a form (a, b, c) is written, for QuadraticForm and for raw triples.
+FORM_TEXT = "%dx^2 + %dxy + %dy^2"
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Primitive positive definite form a*x^2 + b*x*y + c*y^2."""
@@ -71,7 +75,7 @@ class QuadraticForm:
         return mpf(-self.b) / two_a + mpf(1) / two_a * mp.sqrt(mpc(self.discriminant))
 
     def __str__(self):
-        return f"{self.a}x^2 + {self.b}xy + {self.c}y^2"
+        return FORM_TEXT % self.coefficients()
 
 
 def reduce_form(form: QuadraticForm):

@@ -7,7 +7,8 @@ and the product of linear factors in mpmath floating point instead of the
 package's fixed-point integers, scan-and-solve
 enumeration instead of the package's loops, a rational Euclidean gcd instead
 of the package's modular one, and one json.dumps of the whole `table`
-document instead of the package's row templates.  Agreement between the two routes
+document, its cells from QuadraticForm.transform, instead of the package's
+row templates and per-rep weights.  Agreement between the two routes
 is the point; none of this code is imported by the package.
 """
 
@@ -20,7 +21,7 @@ from math import gcd, isqrt
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from classpoly.conjugates import _identity_value, cartan_order, walk_grid
+from classpoly.conjugates import _identity_value, cartan_order
 from classpoly.modfunc import APComplex, GUARD_BITS
 from classpoly.modgroup import UnimodularMatrix, enumerate_cosets
 from classpoly.polyalgebra import IntPolynomial
@@ -357,7 +358,11 @@ def render_table_reference(disc: int, level: int, fmt: str, tie_break: str) -> s
     table = enumerate_cosets(level, tie_break)
     forms = reduced_forms(order.disc)
     cartan = cartan_order(order, level)
-    grid = list(walk_grid(forms, table, level))
+    grid = [
+        (i, k, f, gcd(f.a, level) == 1)
+        for i, form in enumerate(forms)
+        for k, f in enumerate(form.transform(g) for g in table.reps)
+    ]
     passing = sum(p for *_, p in grid)
     if fmt == "json":
         doc = {
@@ -377,7 +382,7 @@ def render_table_reference(disc: int, level: int, fmt: str, tie_break: str) -> s
                         "form": list(f.coefficients()),
                         "passes_filter": bool(p),
                     }
-                    for (i, k, _, f, p) in grid
+                    for (i, k, f, p) in grid
                 ],
                 "class_count": passing,
             },
@@ -392,7 +397,7 @@ def render_table_reference(disc: int, level: int, fmt: str, tie_break: str) -> s
         f" = {cartan.quotient}\n"
     )
     out.append(f"grid ({len(grid)} pairs, {passing} pass the filter):\n")
-    for (i, k, _, f, p) in grid:
+    for (i, k, f, p) in grid:
         out.append(
             f"  (i={i}, k={k}) {str(f):30s}"
             f" {'pass' if p else 'skip (leading coeff shares a factor)'}\n"

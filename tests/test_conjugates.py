@@ -19,6 +19,7 @@ from classpoly.conjugates import (
     compute_conjugates,
     conjugate_matrix,
     run,
+    walk_grid,
 )
 from classpoly.errors import (
     CrossCheckError,
@@ -75,6 +76,25 @@ def test_extended_classes_cover_the_full_grid_at_minus_52():
     for r in reps:
         assert gcd(r.form.a, 5) == 1
         assert r.form.discriminant == -52
+
+
+@pytest.mark.parametrize("tie_break", ["min", "max"])
+@pytest.mark.parametrize("disc, level", [(-1351, 12), (-4079, 6)])
+def test_walk_grid_matches_transform_cell_by_cell(disc, level, tie_break):
+    order = CMOrder.from_discriminant(disc)
+    forms = reduced_forms(disc)
+    table = enumerate_cosets(level, tie_break)
+    cells = list(walk_grid(forms, table, level))
+    assert len(cells) == len(forms) * table.size()
+    for i, k, gamma, coeffs, passes in cells:
+        assert gamma is table.reps[k]
+        assert coeffs == forms[i].transform(gamma).coefficients()
+        assert passes == (gcd(coeffs[0], level) == 1)
+    reps = build_extended_classes(order, level, table)
+    assert len(reps) == sum(p for *_, p in cells)
+    for r in reps:
+        assert type(r.form) is QuadraticForm
+        assert r.form.discriminant == disc
 
 
 def test_cartan_order_values():
