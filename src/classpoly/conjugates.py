@@ -20,7 +20,6 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import (
     CrossCheckError,
-    NonConvergenceError,
     PoleError,
     PowerCheckError,
     PrecisionExhaustedError,
@@ -32,6 +31,7 @@ from .modfunc import (
     GUARD_BITS,
     ModularFunctionSpec,
     PrecisionConfig,
+    catalog_lookup,
 )
 from .modgroup import CosetTable, UnimodularMatrix, enumerate_cosets, translation
 from .polyalgebra import (
@@ -114,8 +114,6 @@ class ClassFieldJob:
     @classmethod
     def create(cls, discriminant: int, level: int, function_name: str,
                target_bits: int = 256) -> "ClassFieldJob":
-        from .modfunc import catalog_lookup
-
         return cls(
             order=CMOrder.from_discriminant(discriminant),
             level=level,
@@ -259,31 +257,13 @@ def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
     return data
 
 
-def _escalate(job: ClassFieldJob, attempt):
-    """Call attempt(cfg, escalations) at the job's precision, and again at
-    each escalated precision after a failure that more precision can cure."""
-    cfg = job.precision
-    last = None
-    for escalations in range(job.precision.max_escalations + 1):
-        try:
-            return attempt(cfg, escalations)
-        except (NonConvergenceError, RoundingFailureError, PowerCheckError) as exc:
-            last = exc
-            cfg = cfg.escalated()
-    raise PrecisionExhaustedError(
-        f"no certified polynomial after {job.precision.max_escalations} "
-        f"precision escalations (last failure: {last})"
-    ) from last
-
-
 def compute_conjugates(job: ClassFieldJob,
                        table: CosetTable | None = None) -> list:
-    """Evaluate the function once per extended class.  Escalates precision on
-    non-convergence, then gives up."""
+    """Evaluate the function once per extended class, at the job's
+    precision.  A series refused as too long raises NonConvergenceError;
+    more precision would only lengthen it, so there is no retry."""
     _, prepared = _prepare(job, table)
-    return _escalate(
-        job, lambda cfg, _: _evaluate_classes(prepared, job.function, cfg)
-    )
+    return _evaluate_classes(prepared, job.function, job.precision)
 
 
 def _identity_value(data: list) -> APComplex:
@@ -352,7 +332,8 @@ class RunResult:
 
 
 def run(job: ClassFieldJob, table: CosetTable | None = None) -> RunResult:
-    """Full pipeline with cross-checks and precision escalation."""
+    """Full pipeline with cross-checks, escalating the precision after a
+    rounding, value or power certificate fails."""
     table, prepared = _prepare(job, table)
     forms = reduced_forms(job.order.disc)
     cartan = cartan_order(job.order, job.level)
@@ -393,4 +374,13 @@ def run(job: ClassFieldJob, table: CosetTable | None = None) -> RunResult:
             escalations=escalations,
         )
 
-    return _escalate(job, certify)
+    cfg, last = job.precision, None
+    for escalations in range(cfg.max_escalations + 1):
+        try:
+            return certify(cfg, escalations)
+        except (RoundingFailureError, PowerCheckError) as exc:
+            last, cfg = exc, cfg.escalated()
+    raise PrecisionExhaustedError(
+        f"no certified polynomial after {job.precision.max_escalations} "
+        f"precision escalations (last failure: {last})"
+    ) from last

@@ -6,7 +6,8 @@ class ClasspolyError(Exception):
 
 
 class NonConvergenceError(ClasspolyError):
-    """A theta series hit its term budget before its tail bound."""
+    """A theta series would need more than MAX_TERMS terms to reach its
+    tail bound; it is refused before any term is summed."""
 
 
 class PrecisionExhaustedError(ClasspolyError):

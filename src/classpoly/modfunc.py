@@ -33,37 +33,33 @@ from .quadforms import QuadraticForm, reduce_form
 
 
 GUARD_BITS = 64  # working headroom above the target precision
-ESCALATION_FACTOR = 2  # growth of bits and term budget per escalation
+ESCALATION_FACTOR = 2  # growth of the bits per escalation
+MAX_TERMS = 500_000  # cap on the terms of one theta series, over all passes
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Knobs for one evaluation attempt.
+    """Precision of one evaluation attempt.
 
-    target_bits is what the caller gets to rely on; max_terms caps the
-    number of terms of each theta series; max_escalations bounds the
-    retries at escalated precision.
+    target_bits is what the caller gets to rely on; max_escalations bounds
+    the retries at escalated precision after a failed certificate.
     """
 
     target_bits: int = 256
-    max_terms: int = 500_000
     max_escalations: int = 3
 
     def __post_init__(self):
         if self.target_bits < 16:
             raise ValueError("target_bits must be at least 16")
-        if self.max_terms < 16:
-            raise ValueError("max_terms too small")
 
     @property
     def working_bits(self) -> int:
         return self.target_bits + GUARD_BITS
 
     def escalated(self) -> "PrecisionConfig":
-        """Next attempt: more precision and a matching term budget."""
+        """Next attempt: more precision."""
         return PrecisionConfig(
             target_bits=self.target_bits * ESCALATION_FACTOR,
-            max_terms=self.max_terms * ESCALATION_FACTOR,
             max_escalations=self.max_escalations,
         )
 
@@ -136,7 +132,7 @@ def _reduce_point(tau, level: int = 1):
 # working-precision context)
 # ----------------------------------------------------------------------
 
-def _theta_ctx(q: mpc, x: mpc, cfg: PrecisionConfig, label: str) -> mpc:
+def _theta_ctx(q: mpc, x: mpc, label: str) -> mpc:
     """The Jacobi triple product as a series,
 
         prod (1-q^n)(1-q^(n-1) x)(1-q^n/x) = sum_m (-1)^m q^(m(m-1)/2) x^m,
@@ -162,8 +158,10 @@ def _theta_ctx(q: mpc, x: mpc, cfg: PrecisionConfig, label: str) -> mpc:
 
     No term exceeds 1, so a small sum (near the real line) has lost
     log2(1/|sum|) bits; past a quarter of the guard bits, the series is
-    summed again with them added.  The zeros x = 1 and x = q of the product
-    are refused.
+    summed again with them added.  Each pass is charged its bound of 2 n
+    terms before it sums anything, and a series whose passes together
+    would pass MAX_TERMS is refused up front; more precision only
+    lengthens it.  The zeros x = 1 and x = q of the product are refused.
     """
     absq = abs(q)
     if not (absq < 1 and absq <= abs(x) <= 1) or x in (1, q):
@@ -172,9 +170,12 @@ def _theta_ctx(q: mpc, x: mpc, cfg: PrecisionConfig, label: str) -> mpc:
     slope = -to_float(mpf_log(absq._mpf_, 53)) / math.log(2)  # inf at q = 0
     gap_bits = -to_float(mpf_log(gap._mpf_, 53)) / math.log(2)
     base = prec = mp.prec
-    terms = 0  # over all passes
+    terms = 0  # bounds charged, over all passes
     while True:
         side = int(math.sqrt(2 * (prec + 3 + gap_bits) / slope)) + 2
+        terms += 2 * side
+        if terms > MAX_TERMS:
+            raise NonConvergenceError(f"{label} needs more than {MAX_TERMS} terms")
         guard = 4 * side.bit_length() + 6
         shift = prec + guard
         half = 1 << (shift - 1)
@@ -190,9 +191,6 @@ def _theta_ctx(q: mpc, x: mpc, cfg: PrecisionConfig, label: str) -> mpc:
             while abs(tr) >= cut or abs(ti) >= cut or tr * tr + ti * ti >= cut2:
                 total_re += tr
                 total_im += ti
-                terms += 1
-                if terms > cfg.max_terms:
-                    raise NonConvergenceError(f"{label} exceeded max_terms")
                 sr, si = ((sr * qr - si * qi + half) >> shift,
                           (sr * qi + si * qr + half) >> shift)
                 tr, ti = (-((tr * sr - ti * si + half) >> shift),
@@ -205,14 +203,14 @@ def _theta_ctx(q: mpc, x: mpc, cfg: PrecisionConfig, label: str) -> mpc:
         prec = base + lost
 
 
-def _rr_product_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
+def _rr_product_ctx(z: mpc) -> mpc:
     """q^(1/5) theta(q^5, q) / theta(q^5, q^2), which by the triple product
     is q^(1/5) prod (1-q^(5n-1))(1-q^(5n-4)) / ((1-q^(5n-2))(1-q^(5n-3)))."""
     q = mp.expjpi(2 * z)
     q2 = q * q
     q5 = q2 * q2 * q
-    return (mp.expjpi(2 * z / 5) * _theta_ctx(q5, q, cfg, "rr-product")
-            / _theta_ctx(q5, q2, cfg, "rr-product"))
+    return (mp.expjpi(2 * z / 5) * _theta_ctx(q5, q, "rr-product")
+            / _theta_ctx(q5, q2, "rr-product"))
 
 
 def _replay_value(gamma, value: mpc) -> mpc:
@@ -236,26 +234,35 @@ def _replay_value(gamma, value: mpc) -> mpc:
     return value
 
 
-def _rr_ctx(tau, cfg: PrecisionConfig) -> mpc:
+def _rr_ctx(tau) -> mpc:
+    """r(tau) from r(z) at the reduced point, by the replay.  A first S step
+    keeps only the absolute bits of r(z), which is tiny when Im z is large;
+    past a quarter of the guard bits, the replay runs with those bits added,
+    at most doubling the precision near a cusp."""
     z, gamma = _reduce_point(tau)
-    return _replay_value(gamma, _rr_product_ctx(z, cfg))
+    value = _rr_product_ctx(z)
+    lost = -mp.mag(value)
+    if lost <= GUARD_BITS // 4:
+        return _replay_value(gamma, value)
+    with mp.workprec(mp.prec + min(lost, mp.prec)):
+        value = _replay_value(gamma, value)
+    return +value
 
 
-def _eta_product_ctx(z: mpc, cfg: PrecisionConfig) -> mpc:
+def _eta_product_ctx(z: mpc) -> mpc:
     """prod_(n>=1) (1 - q^n) = theta(q^3, q), Euler's pentagonal series."""
     q = mp.expjpi(2 * z)
-    return _theta_ctx(q * q * q, q, cfg, "eta-product")
+    return _theta_ctx(q * q * q, q, "eta-product")
 
 
-def _j_ctx(tau, cfg: PrecisionConfig) -> mpc:
+def _j_ctx(tau) -> mpc:
     """Klein j by Weber's (f^24 + 16)^3 / f^24, where f = f2 and
     f^24 = 2^12 q (P(q^2) / P(q))^24 with P(q) = prod (1-q^n) = theta(q^3, q),
     after moving tau into the fundamental domain (exact invariance)."""
     z, _ = _reduce_point(tau)
     q = mp.expjpi(2 * z)
     q2 = q * q
-    ratio = (_theta_ctx(q2 * q2 * q2, q2, cfg, "j")
-             / _theta_ctx(q2 * q, q, cfg, "j"))
+    ratio = _theta_ctx(q2 * q2 * q2, q2, "j") / _theta_ctx(q2 * q, q, "j")
     f24 = ratio * ratio * ratio
     for _ in range(3):  # products, not **: mpmath's high-precision pow is log/exp
         f24 *= f24
@@ -263,8 +270,7 @@ def _j_ctx(tau, cfg: PrecisionConfig) -> mpc:
     return (f24 + 16) * (f24 + 16) * (f24 + 16) / f24
 
 
-def _klein_numerator_ctx(r1: Fraction, r2: Fraction, z: mpc,
-                         cfg: PrecisionConfig) -> mpc:
+def _klein_numerator_ctx(r1: Fraction, r2: Fraction, z: mpc) -> mpc:
     """Klein form at (r1, r2) times prod (1-q^n)^3: the prefactor
     e^(pi i r2 (r1-1)) q^(r1 (r1-1)/2) times theta(q, q_z), with
     q_z = e^(2 pi i (r1 z + r2)); by the triple product, theta(q, q_z) is
@@ -277,16 +283,15 @@ def _klein_numerator_ctx(r1: Fraction, r2: Fraction, z: mpc,
         raise ValueError("Klein parameters must not both be integers")
     r2_m = mpf(r2.numerator) / r2.denominator
     if r1 < 0:
-        return -mp.expjpi(r2_m) * _klein_numerator_ctx(r1 + 1, r2, z, cfg)
+        return -mp.expjpi(r2_m) * _klein_numerator_ctx(r1 + 1, r2, z)
     r1_m = mpf(r1.numerator) / r1.denominator
     q = mp.expjpi(2 * z)
     qz = mp.expjpi(2 * (r1_m * z + r2_m))
     prefactor = mp.expjpi(r2_m * (r1_m - 1)) * mp.expjpi(z * r1_m * (r1_m - 1))
-    return prefactor * _theta_ctx(q, qz, cfg, "klein-form")
+    return prefactor * _theta_ctx(q, qz, "klein-form")
 
 
-def _klein_quotient_ctx(p: tuple, s: tuple, tau, level: int,
-                        cfg: PrecisionConfig) -> mpc:
+def _klein_quotient_ctx(p: tuple, s: tuple, tau, level: int) -> mpc:
     """k_p(w) / k_s(w) at w = level * tau, with both theta series run in the
     fundamental domain.
 
@@ -307,7 +312,7 @@ def _klein_quotient_ctx(p: tuple, s: tuple, tau, level: int,
         b1, b2 = math.floor(a1), math.floor(a2)
         a1, a2 = a1 - b1, a2 - b2
         half_turns += sign * (b1 * b2 + b1 + b2 - (b1 * a2 - b2 * a1))
-        forms.append(_klein_numerator_ctx(a1, a2, w_star, cfg))
+        forms.append(_klein_numerator_ctx(a1, a2, w_star))
     half_turns %= 2
     phase = mp.expjpi(mpf(half_turns.numerator) / half_turns.denominator)
     return phase * forms[0] / forms[1]
@@ -322,7 +327,7 @@ def eval_rr_product(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
     itself, no argument reduction: slow (or non-convergent) near the real
     line, where |q| approaches 1 and the series cancel."""
     with mp.workprec(cfg.working_bits):
-        value = _rr_product_ctx(_as_mpc(tau), cfg)
+        value = _rr_product_ctx(_as_mpc(tau))
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -330,7 +335,7 @@ def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
     """Level-5 continued-fraction value; reduces the point to the
     fundamental domain, a form exactly, and replays the matrix on the value."""
     with mp.workprec(cfg.working_bits):
-        value = _rr_ctx(tau, cfg)
+        value = _rr_ctx(tau)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -339,14 +344,14 @@ def eval_eta(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
     real line, where the series is long and its sum small."""
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
-        value = mp.expjpi(z / 12) * _eta_product_ctx(z, cfg)
+        value = mp.expjpi(z / 12) * _eta_product_ctx(z)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
 def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
     """Klein j-function (1728 at i, 0 at the hexagonal point)."""
     with mp.workprec(cfg.working_bits):
-        value = _j_ctx(tau, cfg)
+        value = _j_ctx(tau)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -360,8 +365,8 @@ def eval_klein(r1, r2, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APCompl
     r2 = Fraction(r2)
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
-        p = _eta_product_ctx(z, cfg)
-        value = _klein_numerator_ctx(r1, r2, z, cfg) / (p * p * p)
+        p = _eta_product_ctx(z)
+        value = _klein_numerator_ctx(r1, r2, z) / (p * p * p)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -374,8 +379,8 @@ def check_icosahedral(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     (x^20 - 228 x^15 + 494 x^10 + 228 x^5 + 1)^3 + j x^5 (x^10 + 11 x^5 - 1)^5,
     normalized by the largest of the two terms.  Returns an mpf."""
     with mp.workprec(cfg.working_bits):
-        x = _rr_ctx(tau, cfg)
-        jv = _j_ctx(tau, cfg)
+        x = _rr_ctx(tau)
+        jv = _j_ctx(tau)
         # products, not **: mpmath's high-precision pow is log/exp
         x2 = x * x
         x5 = x2 * x2 * x
@@ -398,9 +403,9 @@ def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     of Klein forms k_(1/5,0) / k_(2/5,0) taken at 5*tau.  Returns an mpf."""
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
-        r_value = _rr_ctx(tau, cfg)
-        k1 = _klein_numerator_ctx(Fraction(1, 5), Fraction(0), 5 * z, cfg)
-        k2 = _klein_numerator_ctx(Fraction(2, 5), Fraction(0), 5 * z, cfg)
+        r_value = _rr_ctx(tau)
+        k1 = _klein_numerator_ctx(Fraction(1, 5), Fraction(0), 5 * z)
+        k2 = _klein_numerator_ctx(Fraction(2, 5), Fraction(0), 5 * z)
         residual = abs(r_value - k1 / k2) / abs(r_value)
     return residual
 
@@ -470,7 +475,7 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
 
     def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
         with mp.workprec(cfg.working_bits):
-            value = _klein_quotient_ctx((p1, p2), (q1, q2), tau, level, cfg)
+            value = _klein_quotient_ctx((p1, p2), (q1, q2), tau, level)
         return APComplex.from_mpc(value, cfg.target_bits)
 
     return ModularFunctionSpec(

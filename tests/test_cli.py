@@ -160,6 +160,22 @@ def test_validate_passes_at_a_generic_point(capsys):
     assert float(verification["klein_quotient_residual"]) < 2.0 ** -64
 
 
+def test_validate_passes_where_the_replay_starts_from_a_tiny_value(capsys):
+    """At 0.3 + 1e-4 i the reduced point is high in the fundamental domain,
+    so r there is tiny and the replay needs the bits it would lose."""
+    rc, out, _ = run_cli(capsys, "validate", "--point", "0.3+0.0001i", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["verification"]["passed"] is True
+
+
+def test_validate_refuses_a_series_past_the_term_cap(capsys):
+    """The unreduced Klein check at 5 (0.3 + 1e-12 i) would need more than
+    MAX_TERMS terms: exit 3, before any term is summed."""
+    rc, _, err = run_cli(capsys, "validate", "--point", "0.3+1e-12i")
+    assert rc == 3
+    assert "terms" in err
+
+
 def test_validate_rejects_bad_points(capsys):
     rc, _, err = run_cli(capsys, "validate", "--point", "zebra")
     assert rc == 2 and "error" in err

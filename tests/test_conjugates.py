@@ -47,7 +47,7 @@ from classpoly.polyalgebra import (
     eval_poly,
     power_check,
 )
-from classpoly.quadforms import CMOrder, QuadraticForm, reduced_forms
+from classpoly.quadforms import CMOrder, QuadraticForm, reduce_form, reduced_forms
 
 from _oracles import assemble_reference, random_principal_congruence
 from frozen_values import (
@@ -264,6 +264,44 @@ def test_value_is_independent_of_the_coset_representative():
                     assert gap < mpf(2) ** -170 * max(1, abs(base)), (name, rep)
 
 
+def _orbit_key(datum, level):
+    """The Gauss-reduced form of the cell's evaluation argument and, for a
+    function of level > 1, +-gamma mod the level, gamma the reducing matrix:
+    by Gamma(level)-invariance, equal keys must give equal values."""
+    reduced, gamma = reduce_form(datum.eval_point.transform(datum.lifted.inverse()))
+    if level == 1:
+        return reduced
+    minus = UnimodularMatrix(-gamma.a, -gamma.b, -gamma.c, -gamma.d)
+    return reduced, min(gamma.mod(level), minus.mod(level))
+
+
+@pytest.mark.parametrize("disc, level, function, bits, keys, multiplicity", [
+    (-52, 5, "j", 1024, 2, 12),
+    (-56, 5, "j", 1024, 4, 8),
+    (-52, 10, "j", 1024, 2, 24),
+    (-52, 10, "rogers-ramanujan", 256, 24, 2),
+    (-91, 10, "rogers-ramanujan", 256, 16, 3),
+    (-231, 5, "rogers-ramanujan", 256, 96, 1),
+    (-391, 5, "j", 256, 14, 8),  # run() exhausts its escalations here
+])
+def test_cells_with_one_orbit_key_share_their_value(disc, level, function, bits,
+                                                     keys, multiplicity):
+    """The values of compute_conjugates() depend only on the orbit key, and
+    every key covers the same number of cells: the exponent of p = irr^m."""
+    job = ClassFieldJob.create(disc, level, function, bits)
+    groups = {}
+    for d in compute_conjugates(job):
+        groups.setdefault(_orbit_key(d, job.function.level), []).append(d.value.to_mpc())
+    assert len(groups) == keys
+    assert {len(values) for values in groups.values()} == {multiplicity}
+    with mp.workprec(2 * bits):
+        for first, *rest in groups.values():
+            for v in rest:
+                assert abs(v - first) < mpf(2) ** -bits * max(1, abs(first))
+    if (disc, level, function) != (-391, 5, "j"):
+        assert run(job).exponent == multiplicity
+
+
 def test_assemble_poly_uses_reality_shortcut(golden_conjugates):
     job, data = golden_conjugates
     coeffs, shortcut = assemble_poly(data, job)
@@ -372,6 +410,19 @@ def test_run_escalates_until_the_power_structure_resolves():
     assert result.irreducible == IntPolynomial(HILBERT_MINUS_52_ASC)
 
 
+def test_rr_certifies_at_the_requested_precision_for_a_large_discriminant():
+    """At (-2003, 5) the reduced points climb to Im ~ 22, where r is tiny;
+    the replay keeps the value's bits, so 256 bits certify without an
+    escalation, with the polynomial that 512 bits give."""
+    result = run(ClassFieldJob.create(-2003, 5, "rogers-ramanujan", 256))
+    assert result.escalations == 0
+    assert result.precision_bits_used == 256
+    assert result.polynomial.degree == 216
+    assert result.exponent == 1
+    wider = run(ClassFieldJob.create(-2003, 5, "rogers-ramanujan", 512))
+    assert result.irreducible == wider.irreducible
+
+
 @pytest.mark.parametrize("disc, level, function, bits, degree, exponent", [
     (-52, 5, "rogers-ramanujan", 320, 24, 1),
     (-84, 7, "klein-quotient:1/7,0|2/7,0", 256, 84, 1),
@@ -475,18 +526,22 @@ def test_pole_guard():
 
 
 def test_precision_exhaustion_on_permanent_nonconvergence():
+    """More bits only lengthen a series, so run() does not escalate on
+    non-convergence: the error leaves the first attempt."""
+    calls = []
     job = ClassFieldJob(
         order=CMOrder.from_discriminant(-52),
         level=1,
-        function=_failing_spec([]),
+        function=_failing_spec(calls),
         precision=PrecisionConfig(target_bits=64),
     )
-    with pytest.raises(PrecisionExhaustedError):
+    with pytest.raises(NonConvergenceError):
         run(job)
+    assert calls == [64]
 
 
 @pytest.mark.parametrize("max_escalations", [0, 2])
-def test_compute_conjugates_escalates_then_gives_up(max_escalations):
+def test_compute_conjugates_makes_one_attempt(max_escalations):
     calls = []
     job = ClassFieldJob(
         order=CMOrder.from_discriminant(-52),
@@ -494,10 +549,9 @@ def test_compute_conjugates_escalates_then_gives_up(max_escalations):
         function=_failing_spec(calls),
         precision=PrecisionConfig(target_bits=64, max_escalations=max_escalations),
     )
-    with pytest.raises(PrecisionExhaustedError) as info:
+    with pytest.raises(NonConvergenceError):
         compute_conjugates(job)
-    assert isinstance(info.value.__cause__, NonConvergenceError)
-    assert calls == [64 * 2 ** e for e in range(max_escalations + 1)]
+    assert calls == [64]
 
 
 @pytest.mark.parametrize("bits, kind", [(256, "rounding"), (512, "value")])

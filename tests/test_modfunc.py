@@ -63,15 +63,12 @@ SAMPLE_POINTS = [
 def test_precision_config_validation():
     with pytest.raises(ValueError):
         PrecisionConfig(target_bits=8)
-    with pytest.raises(ValueError):
-        PrecisionConfig(max_terms=4)
 
 
-def test_precision_escalation_grows_bits_and_budget():
-    cfg = PrecisionConfig(target_bits=100, max_terms=1000)
+def test_precision_escalation_grows_bits():
+    cfg = PrecisionConfig(target_bits=100)
     up = cfg.escalated()
     assert up.target_bits == 200
-    assert up.max_terms == 2000
     assert up.working_bits == 200 + GUARD_BITS
     assert cfg.working_bits == 100 + GUARD_BITS
 
@@ -169,13 +166,23 @@ def test_rr_rules_hold_for_the_raw_product():
 
 def test_rr_replay_agrees_with_direct_product_near_real_axis():
     """Points with tiny imaginary part force the reduce-and-replay path;
-    the raw product with an enlarged budget is the cross-route."""
-    big = PrecisionConfig(target_bits=128, max_terms=2_000_000)
+    the raw product, a long series there, is the cross-route."""
     for tau in (mpc("0.37", "0.01"), mpc("-1.28", "0.004"), mpc("0.5", "0.002")):
         via_replay = eval_rr(tau, CFG128).to_mpc()
-        direct = eval_rr_product(tau, big).to_mpc()
+        direct = eval_rr_product(tau, CFG128).to_mpc()
         with mp.workprec(220):
             assert abs(via_replay - direct) < mpf(2) ** -100
+
+
+def test_rr_replay_keeps_its_precision_where_the_reduced_value_is_tiny():
+    """At 0.3 + 1e-4 i the reduced point is high in the fundamental domain
+    and r there is tiny; a first S step would keep only its absolute bits.
+    The 128-bit value must be good to 128 bits against a 2048-bit one."""
+    tau = mpc("0.3", "1e-4")
+    ours = eval_rr(tau, CFG128).to_mpc()
+    ref = eval_rr(tau, PrecisionConfig(target_bits=2048)).to_mpc()
+    with mp.workprec(2200):
+        assert abs(ours - ref) / abs(ref) < mpf(2) ** -128
 
 
 def test_replay_value_is_r_at_the_moved_point():
@@ -210,9 +217,10 @@ def test_rr_principal_congruence_invariance_sample():
 
 
 def test_rr_product_exhausts_term_budget():
-    tight = PrecisionConfig(target_bits=128, max_terms=16)
+    """At Im(tau) = 1e-10 the raw series would need more than MAX_TERMS
+    terms; it is refused before any is summed."""
     with pytest.raises(NonConvergenceError):
-        eval_rr_product(mpc("0.3", "0.01"), tight)
+        eval_rr_product(mpc("0.3", "1e-10"), CFG128)
 
 
 def test_rejects_lower_half_plane():
@@ -356,7 +364,7 @@ def test_klein_quasi_periodicity():
 def test_theta_kernel_rejects_points_outside_its_bound(q, x):
     with mp.workprec(128):
         with pytest.raises(ValueError):
-            _theta_ctx(q, x, CFG128, "theta")
+            _theta_ctx(q, x, "theta")
 
 
 @pytest.mark.parametrize("bits, tau, kind", [
@@ -372,7 +380,6 @@ def test_fixed_point_theta_kernel_meets_its_error_bound(bits, tau, kind):
     within 2^-p (1 + |sum|), p the precision of the kernel's last pass (the
     working precision plus the bits the sum cancelled, once that passes a
     quarter of the guard bits)."""
-    cfg = PrecisionConfig(target_bits=bits, max_terms=2_000_000)
     with mp.workprec(bits):
         q = mp.expjpi(2 * tau)
         if kind == "pentagonal":
@@ -381,7 +388,7 @@ def test_fixed_point_theta_kernel_meets_its_error_bound(bits, tau, kind):
             x = mp.expjpi(mpf("0.74"))
         else:
             x = mpc(q.imag, q.real)  # i conj(q): |x| = |q| exactly
-        ours = _theta_ctx(q, x, cfg, "theta")
+        ours = _theta_ctx(q, x, "theta")
     with mp.workprec(bits + 64):
         ref = theta_reference(q, x)
         lost = -mp.mag(ref)
@@ -397,14 +404,13 @@ def test_unreduced_evaluators_keep_their_precision_near_the_real_line(name, tau)
     working precision holds; the value must still be good to the precision
     it is tagged with.  theta_1 cancels the same way, so the Klein reference
     gets 1400 extra bits; the product and the continued fraction do not."""
-    cfg = PrecisionConfig(target_bits=128, max_terms=2_000_000)
     if name == "eta":
-        ours, ref = eval_eta(tau, cfg), eta_reference(tau, 168)
+        ours, ref = eval_eta(tau, CFG128), eta_reference(tau, 168)
     elif name == "rr-product":
-        ours, ref = eval_rr_product(tau, cfg), rr_continued_fraction(tau, 168)
+        ours, ref = eval_rr_product(tau, CFG128), rr_continued_fraction(tau, 168)
     else:
         r1, r2 = Fraction(1, 5), Fraction(0)
-        ours = eval_klein(r1, r2, tau, cfg)
+        ours = eval_klein(r1, r2, tau, CFG128)
         ref = klein_theta_reference(r1, r2, tau, 1528)
     assert ours.precision_bits == 128
     with mp.workprec(1600):
@@ -417,12 +423,7 @@ def test_klein_parameter_validation():
     with pytest.raises(ValueError):
         eval_klein(Fraction(0), Fraction(1), mpc(0, 1), CFG128)
     with pytest.raises(NonConvergenceError):
-        eval_klein(
-            Fraction(1, 5),
-            Fraction(0),
-            mpc("0.3", "0.002"),
-            PrecisionConfig(target_bits=128, max_terms=16),
-        )
+        eval_klein(Fraction(1, 5), Fraction(0), mpc("0.3", "1e-10"), CFG128)
 
 
 # ----------------------------------------------------------------------
@@ -515,37 +516,35 @@ LOW_SCALED_POINTS = [
 )
 def test_reduced_klein_quotient_matches_the_raw_products(name, level):
     """The reduced evaluator moves the parameters by the transformation law;
-    the ratio of raw q-products at N*tau, with a large budget, must agree."""
+    the ratio of raw q-products at N*tau must agree."""
     spec = catalog_lookup(name)
     assert spec.level == level
     top, bottom = (
         [Fraction(s) for s in pair.split(",")]
         for pair in name.split(":")[1].split("|")
     )
-    big = PrecisionConfig(target_bits=192, max_terms=2_000_000)
     for w in LOW_SCALED_POINTS:
         with mp.workprec(53):
             tau = w / level
         with mp.workprec(300):
             w_exact = level * tau
         got = spec.evaluate(tau, CFG192).to_mpc()
-        k_top = eval_klein(*top, w_exact, big).to_mpc()
-        k_bottom = eval_klein(*bottom, w_exact, big).to_mpc()
+        k_top = eval_klein(*top, w_exact, CFG192).to_mpc()
+        k_bottom = eval_klein(*bottom, w_exact, CFG192).to_mpc()
         with mp.workprec(300):
             want = k_top / k_bottom
             assert abs(got - want) / abs(want) < mpf(2) ** -180
 
 
 def test_reduced_klein_quotient_converges_where_the_raw_product_cannot():
-    """At Im(5 tau) = 0.003 a 64-factor budget suffices in the fundamental
-    domain, while the raw product would need thousands of factors."""
-    tight = PrecisionConfig(target_bits=128, max_terms=64)
+    """At Im(5 tau) = 1e-10 the raw series would need more than MAX_TERMS
+    terms and are refused, while in the fundamental domain they are short."""
     spec = catalog_lookup("klein-quotient:1/5,0|2/5,0")
     with mp.workprec(53):
-        tau = mpc("0.41", "0.003") / 5
-    got = spec.evaluate(tau, tight).to_mpc()
+        tau = mpc("0.3141592653", "1e-10") / 5
+    got = spec.evaluate(tau, CFG128).to_mpc()
     with pytest.raises(NonConvergenceError):
-        eval_klein(Fraction(1, 5), Fraction(0), 5 * tau, tight)
+        eval_klein(Fraction(1, 5), Fraction(0), 5 * tau, CFG128)
     # the continued-fraction value, reduced by its own S/T rules
     with mp.workprec(220):
         assert abs(got - eval_rr(tau, CFG128).to_mpc()) < mpf(2) ** -100
