@@ -7,7 +7,8 @@ class ClasspolyError(Exception):
 
 class NonConvergenceError(ClasspolyError):
     """A theta series would need more than MAX_TERMS terms to reach its
-    tail bound; it is refused before any term is summed."""
+    tail bound, and is refused before any term is summed; or the rr replay,
+    at a point too near a cusp, would lose more bits than it adds."""
 
 
 class PrecisionExhaustedError(ClasspolyError):

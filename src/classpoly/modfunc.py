@@ -11,8 +11,10 @@ rounding of every shift stays below half the working resolution in all:
 eta is Euler's pentagonal series
 theta(q^3, q), the level-5 value is q^(1/5) theta(q^5, q) / theta(q^5, q^2),
 j is Weber's (f^24 + 16)^3 / f^24 with f^24 = 2^12 q (P(q^2)/P(q))^24 and
-P(q) = theta(q^3, q), and a Klein form is a prefactor times
-theta(q, e^(2 pi i (r1 tau + r2))) / P(q)^3.
+P(q) = theta(q^3, q), and a Klein form at integer parameters a / n, moved
+into [0, n)^2 by its transformation laws, is a prefactor times
+theta(q, e^(2 pi i (a1 tau + a2) / n)) / P(q)^3, the prefactors of a
+quotient gathered into one exponential.
 
 The q^e convention throughout is q^e = exp(2*pi*i*e*tau).
 """
@@ -28,7 +30,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, mpf_log, round_nearest, to_fixed, to_float
 
 from .errors import NonConvergenceError
-from .modgroup import fundamental_domain_reduce
+from .modgroup import IDENTITY, fundamental_domain_reduce
 from .quadforms import QuadraticForm, reduce_form
 
 
@@ -238,14 +240,19 @@ def _rr_ctx(tau) -> mpc:
     """r(tau) from r(z) at the reduced point, by the replay.  A first S step
     keeps only the absolute bits of r(z), which is tiny when Im z is large;
     past a quarter of the guard bits, the replay runs with those bits added,
-    at most doubling the precision near a cusp."""
+    at most doubling the precision near a cusp.  The replay loses about
+    |log2 r(tau)| bits, near a pole or a zero of r, so a value past the bits
+    added plus half the guard bits is refused rather than returned below its
+    precision."""
     z, gamma = _reduce_point(tau)
     value = _rr_product_ctx(z)
     lost = -mp.mag(value)
-    if lost <= GUARD_BITS // 4:
-        return _replay_value(gamma, value)
-    with mp.workprec(mp.prec + min(lost, mp.prec)):
+    added = min(lost, mp.prec) if lost > GUARD_BITS // 4 else 0
+    with mp.workprec(mp.prec + added):
         value = _replay_value(gamma, value)
+    if abs(mp.mag(value)) > added + GUARD_BITS // 2:
+        raise NonConvergenceError(f"rr replay near a cusp: a value of 2^{mp.mag(value)} "
+                                  f"loses more than the {added} bits added")
     return +value
 
 
@@ -270,52 +277,37 @@ def _j_ctx(tau) -> mpc:
     return (f24 + 16) * (f24 + 16) * (f24 + 16) / f24
 
 
-def _klein_numerator_ctx(r1: Fraction, r2: Fraction, z: mpc) -> mpc:
-    """Klein form at (r1, r2) times prod (1-q^n)^3: the prefactor
-    e^(pi i r2 (r1-1)) q^(r1 (r1-1)/2) times theta(q, q_z), with
-    q_z = e^(2 pi i (r1 z + r2)); by the triple product, theta(q, q_z) is
-    (1-q_z) prod (1-q^n)(1-q^n q_z)(1-q^n/q_z).  Requires -1 < r1 < 1 and
-    (r1, r2) not both integral.  A negative r1 is moved to r1 + 1 by K3,
-    k_(r1, r2) = -e^(pi i r2) k_(r1+1, r2), so that |q| <= |q_z| <= 1."""
-    if not (-1 < r1 < 1):
-        raise ValueError("first Klein parameter must lie in (-1, 1)")
-    if r1.denominator == 1 and r2.denominator == 1:
-        raise ValueError("Klein parameters must not both be integers")
-    r2_m = mpf(r2.numerator) / r2.denominator
-    if r1 < 0:
-        return -mp.expjpi(r2_m) * _klein_numerator_ctx(r1 + 1, r2, z)
-    r1_m = mpf(r1.numerator) / r1.denominator
+def _klein_move(r: tuple, gamma, n: int):
+    """K2, then K3 (Kubert-Lang, *Modular Units*, ch. 2) on Klein parameters
+    r / n, r a pair of integers: r moves to r gamma, then into [0, n)^2 by
+    k_(a+b) = (-1)^(b1 b2 + b1 + b2) e^(-pi i (b1 a2 - b2 a1)) k_a, b integral.
+    Returns the moved pair a, which is (0, 0) only when r / n is integral,
+    since gamma is invertible over Z, and an integer t: e^(pi i t / n^2) is
+    that root of unity times the constant prefactor e^(pi i a2 (a1 - n) / n^2)
+    of k_a."""
+    b1, a1 = divmod(r[0] * gamma.a + r[1] * gamma.c, n)
+    b2, a2 = divmod(r[0] * gamma.b + r[1] * gamma.d, n)
+    t = n * n * (b1 * b2 + b1 + b2) - n * (b1 * a2 - b2 * a1) + a2 * (a1 - n)
+    return (a1, a2), t
+
+
+def _klein_ctx(forms, z: mpc, gamma, n: int) -> mpc:
+    """prod (k_(r gamma)(z) P(q)^3)^e over the (e, r) in forms, e = +-1 and
+    r / n Klein parameters, which by K2 is prod k_r(gamma z)^e when the
+    exponents sum to zero.  After _klein_move, k_a P(q)^3 is the prefactor
+    e^(pi i t / n^2) q^(a1 (a1-n) / (2 n^2)) times theta(q, q_a), with
+    q_a = e^(2 pi i (a1 z + a2) / n), where a in [0, n)^2, not (0, 0), keeps
+    |q| <= |q_a| <= 1 and q_a != 1; all the prefactors make one exponential."""
     q = mp.expjpi(2 * z)
-    qz = mp.expjpi(2 * (r1_m * z + r2_m))
-    prefactor = mp.expjpi(r2_m * (r1_m - 1)) * mp.expjpi(z * r1_m * (r1_m - 1))
-    return prefactor * _theta_ctx(q, qz, "klein-form")
-
-
-def _klein_quotient_ctx(p: tuple, s: tuple, tau, level: int) -> mpc:
-    """k_p(w) / k_s(w) at w = level * tau, with both theta series run in the
-    fundamental domain.
-
-    With w = gamma w*, the law k_r(gamma w*) = (c w* + d)^-1 k_(r gamma)(w*)
-    (Kubert-Lang K2) moves each parameter pair, and the automorphy factors
-    cancel in the quotient.  K3, k_(a+b) = (-1)^(b1 b2 + b1 + b2)
-    e^(-pi i (b1 a2 - b2 a1)) k_a for integral b, then brings each pair into
-    [0,1) x [0,1); it never becomes integral, since gamma is invertible
-    over Z.  Both forms then sit at w*, so the prod (1-q^n)^3 that each
-    numerator carries cancels too.
-    """
-    w_star, gamma = _reduce_point(tau, level)
-    half_turns = Fraction(0)  # the root of unity, as a multiple of pi
-    forms = []
-    for sign, (r1, r2) in ((1, p), (-1, s)):
-        a1 = r1 * gamma.a + r2 * gamma.c
-        a2 = r1 * gamma.b + r2 * gamma.d
-        b1, b2 = math.floor(a1), math.floor(a2)
-        a1, a2 = a1 - b1, a2 - b2
-        half_turns += sign * (b1 * b2 + b1 + b2 - (b1 * a2 - b2 * a1))
-        forms.append(_klein_numerator_ctx(a1, a2, w_star))
-    half_turns %= 2
-    phase = mp.expjpi(mpf(half_turns.numerator) / half_turns.denominator)
-    return phase * forms[0] / forms[1]
+    turns = slope = 0
+    value = mpc(1)
+    for e, r in forms:
+        (a1, a2), t = _klein_move(r, gamma, n)
+        turns += e * t
+        slope += e * a1 * (a1 - n)
+        theta = _theta_ctx(q, mp.expjpi(2 * (a1 * z + a2) / n), "klein-form")
+        value = value * theta if e == 1 else value / theta
+    return mp.expjpi((turns % (2 * n * n) + slope * z) / (n * n)) * value
 
 
 # ----------------------------------------------------------------------
@@ -356,17 +348,18 @@ def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
 
 
 def eval_klein(r1, r2, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Klein form k_(r1, r2)(tau) for rational parameters, by the theta
-    series at tau itself: no argument reduction, so slow (or non-convergent)
-    near the real line.  It is the reference for the reduced klein-quotient
-    evaluator, and divides the numerator by the cube of the pentagonal
-    series prod (1-q^n), which the quotient cancels."""
-    r1 = Fraction(r1)
-    r2 = Fraction(r2)
+    """Klein form k_(r1, r2)(tau) for rational parameters, -1 < r1 < 1 and
+    not both integers, by the theta series at tau itself: no argument
+    reduction, so slow (or non-convergent) near the real line.  It is the
+    reference for the reduced klein-quotient evaluator, and divides by the
+    cube of the pentagonal series prod (1-q^n), which the quotient cancels."""
+    r1, r2 = Fraction(r1), Fraction(r2)
+    _check_klein_pair(r1, r2)
+    n = math.lcm(r1.denominator, r2.denominator)
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
         p = _eta_product_ctx(z)
-        value = _klein_numerator_ctx(r1, r2, z) / (p * p * p)
+        value = _klein_ctx(((1, (int(r1 * n), int(r2 * n))),), z, IDENTITY, n) / (p * p * p)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -404,9 +397,8 @@ def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
         r_value = _rr_ctx(tau)
-        k1 = _klein_numerator_ctx(Fraction(1, 5), Fraction(0), 5 * z)
-        k2 = _klein_numerator_ctx(Fraction(2, 5), Fraction(0), 5 * z)
-        residual = abs(r_value - k1 / k2) / abs(r_value)
+        quotient = _klein_ctx(((1, (1, 0)), (-1, (2, 0))), 5 * z, IDENTITY, 5)
+        residual = abs(r_value - quotient) / abs(r_value)
     return residual
 
 
@@ -453,6 +445,13 @@ _BASE_CATALOG = (
 _KLEIN_PREFIX = "klein-quotient:"
 
 
+def _check_klein_pair(r1: Fraction, r2: Fraction):
+    if r1.denominator == 1 and r2.denominator == 1:
+        raise ValueError("Klein parameters must not both be integers")
+    if not (-1 < r1 < 1):
+        raise ValueError("first Klein parameter must lie in (-1, 1)")
+
+
 def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
     body = name[len(_KLEIN_PREFIX):]
     try:
@@ -461,21 +460,17 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
         q1, q2 = (Fraction(s) for s in bottom.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed klein-quotient name {name!r}") from exc
-    level = math.lcm(
-        p1.denominator, p2.denominator, q1.denominator, q2.denominator
-    )
-    if level == 1:
-        raise ValueError("klein-quotient parameters must not all be integers")
-    for r1, r2 in ((p1, p2), (q1, q2)):
-        if r1.denominator == 1 and r2.denominator == 1:
-            raise ValueError("each Klein parameter pair must be non-integral")
-        if not (-1 < r1 < 1):
-            raise ValueError("first Klein parameter must lie in (-1, 1)")
+    _check_klein_pair(p1, p2)
+    _check_klein_pair(q1, q2)
+    level = math.lcm(p1.denominator, p2.denominator, q1.denominator, q2.denominator)
     rational = p2 == 0 and q2 == 0 and level % 2 == 1
+    forms = ((1, (int(p1 * level), int(p2 * level))),
+             (-1, (int(q1 * level), int(q2 * level))))
 
     def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
         with mp.workprec(cfg.working_bits):
-            value = _klein_quotient_ctx((p1, p2), (q1, q2), tau, level)
+            w_star, gamma = _reduce_point(tau, level)
+            value = _klein_ctx(forms, w_star, gamma, level)
         return APComplex.from_mpc(value, cfg.target_bits)
 
     return ModularFunctionSpec(

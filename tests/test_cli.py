@@ -109,7 +109,7 @@ GOLDEN_COMPUTE_DIGESTS = [
     ("-52", "5", "rogers-ramanujan", "320",
      "67c0b1accb12f84af459c894472eeea943902150e7678f20c4f642d538f92881"),
     ("-84", "7", "klein-quotient:1/7,0|2/7,0", "256",
-     "cb7eefab8334c9e0e3c58355033a11693c5d64ac05ab3544fc3beda8bac3e72f"),
+     "baf6cb5c90155d6be9a2c6c7bdeb47eec4a04a0891862a77cd2232a17a01d87d"),
     ("-52", "1", "j", "256",
      "4f3ed064c28cdcc01a55ab774ab1ff074c877198b47e87689b4dc9253e6d53b7"),
 ]
@@ -169,11 +169,19 @@ def test_validate_passes_where_the_replay_starts_from_a_tiny_value(capsys):
 
 
 def test_validate_refuses_a_series_past_the_term_cap(capsys):
-    """The unreduced Klein check at 5 (0.3 + 1e-12 i) would need more than
+    """The unreduced Klein check at 5 (1/pi + 1e-12 i) would need more than
     MAX_TERMS terms: exit 3, before any term is summed."""
-    rc, _, err = run_cli(capsys, "validate", "--point", "0.3+1e-12i")
+    rc, _, err = run_cli(capsys, "validate", "--point", "0.3183098861837907+1e-12i")
     assert rc == 3
     assert "terms" in err
+
+
+def test_validate_refuses_a_point_too_near_a_cusp_for_the_rr_replay(capsys):
+    """0.3 + 1e-12 i sits just above the cusp 3/10: the icosahedral check,
+    which runs first, refuses the rr replay there, with exit 3."""
+    rc, _, err = run_cli(capsys, "validate", "--point", "0.3+1e-12i")
+    assert rc == 3
+    assert "rr replay" in err
 
 
 def test_validate_rejects_bad_points(capsys):

@@ -389,6 +389,23 @@ def test_level_seven_klein_quotient_rounds():
     assert polynomial.coeffs[0] == 1
 
 
+@pytest.mark.parametrize("disc, level, negated, plain, bits", [
+    (-52, 5, "klein-quotient:-4/5,0|2/5,0", None, 320),
+    (-84, 7, "klein-quotient:-6/7,0|2/7,0", "klein-quotient:1/7,0|2/7,0", 256),
+])
+def test_klein_quotient_with_a_negative_first_parameter(disc, level, negated, plain, bits):
+    """K3 moves (r1 - 1, 0) to (r1, 0) with the sign -1, so the quotient is
+    negated and its polynomial is the plain one at -x (even degree): the
+    golden polynomial at level 5, the run of the plain quotient at 7."""
+    result = run(ClassFieldJob.create(disc, level, negated, bits))
+    if plain is None:
+        want = GOLDEN_MINUS_52_LEVEL_5_ASC
+    else:
+        want = run(ClassFieldJob.create(disc, level, plain, bits)).irreducible.coeffs
+    assert result.exponent == 1
+    assert result.irreducible.coeffs == tuple((-1) ** k * c for k, c in enumerate(want))
+
+
 def test_run_degree_192_rogers_ramanujan():
     """(-231, 5): 96 extended classes and a complex generator, so the
     product has degree 192; it is squarefree and certified at 256 bits."""

@@ -185,6 +185,39 @@ def test_rr_replay_keeps_its_precision_where_the_reduced_value_is_tiny():
         assert abs(ours - ref) / abs(ref) < mpf(2) ** -128
 
 
+def test_rr_replay_refuses_a_point_too_near_a_cusp():
+    """At (0.4123456789 + 1e-10 i) / 5 the reduced point has Im ~ 5390, so r
+    there is about 2^-9800 and the value at tau about 2^9772: far more bits
+    than the replay adds would be lost, and the point is refused."""
+    with mp.workprec(53):
+        tau = mpc("0.4123456789", "1e-10") / 5
+    with pytest.raises(NonConvergenceError, match="rr replay"):
+        eval_rr(tau, CFG128)
+
+
+def test_rr_replay_near_cusps_is_right_or_refused():
+    """Points just above rationals a/c: each 128-bit value is either refused
+    or good to 2^-120 against the reduced Klein quotient at 1024 bits, which
+    moves its parameters exactly and replays nothing; some are refused."""
+    spec = catalog_lookup("klein-quotient:1/5,0|2/5,0")
+    rng = random.Random(3)
+    refused = 0
+    for _ in range(40):
+        c = rng.randint(1, 12)
+        x = rng.randint(0, c) / c + rng.uniform(-1e-6, 1e-6)
+        with mp.workprec(53):
+            tau = mpc(x, 10 ** rng.uniform(-7, -3))
+        try:
+            got = eval_rr(tau, CFG128).to_mpc()
+        except NonConvergenceError:
+            refused += 1
+            continue
+        want = spec.evaluate(tau, PrecisionConfig(target_bits=1024)).to_mpc()
+        with mp.workprec(1100):
+            assert abs(got - want) / abs(want) < mpf(2) ** -120, tau
+    assert refused
+
+
 def test_replay_value_is_r_at_the_moved_point():
     """_replay_value(gamma, r(z)) is r(gamma z), for gamma = -I, pure
     translations of either sign, S, and random matrices with c < 0, c = 0
