@@ -240,17 +240,18 @@ def _rr_ctx(tau) -> mpc:
     """r(tau) from r(z) at the reduced point, by the replay.  A first S step
     keeps only the absolute bits of r(z), which is tiny when Im z is large;
     past a quarter of the guard bits, the replay runs with those bits added,
-    at most doubling the precision near a cusp.  The replay loses about
-    |log2 r(tau)| bits, near a pole or a zero of r, so a value past the bits
-    added plus half the guard bits is refused rather than returned below its
-    precision."""
+    at most doubling the precision near a cusp.  A replay with an S step
+    loses about |log2 r(tau)| bits, near a pole or a zero of r, so such a
+    value past the bits added plus half the guard bits is refused rather
+    than returned below its precision; a pure translation (c = 0) only
+    multiplies by a root of unity and loses nothing."""
     z, gamma = _reduce_point(tau)
     value = _rr_product_ctx(z)
     lost = -mp.mag(value)
     added = min(lost, mp.prec) if lost > GUARD_BITS // 4 else 0
     with mp.workprec(mp.prec + added):
         value = _replay_value(gamma, value)
-    if abs(mp.mag(value)) > added + GUARD_BITS // 2:
+    if gamma.c and abs(mp.mag(value)) > added + GUARD_BITS // 2:
         raise NonConvergenceError(f"rr replay near a cusp: a value of 2^{mp.mag(value)} "
                                   f"loses more than the {added} bits added")
     return +value
@@ -353,13 +354,11 @@ def eval_klein(r1, r2, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APCompl
     reduction, so slow (or non-convergent) near the real line.  It is the
     reference for the reduced klein-quotient evaluator, and divides by the
     cube of the pentagonal series prod (1-q^n), which the quotient cancels."""
-    r1, r2 = Fraction(r1), Fraction(r2)
-    _check_klein_pair(r1, r2)
-    n = math.lcm(r1.denominator, r2.denominator)
+    n, (r,) = _klein_pairs((Fraction(r1), Fraction(r2)))
     with mp.workprec(cfg.working_bits):
         z = _as_mpc(tau)
         p = _eta_product_ctx(z)
-        value = _klein_ctx(((1, (int(r1 * n), int(r2 * n))),), z, IDENTITY, n) / (p * p * p)
+        value = _klein_ctx(((1, r),), z, IDENTITY, n) / (p * p * p)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -445,11 +444,16 @@ _BASE_CATALOG = (
 _KLEIN_PREFIX = "klein-quotient:"
 
 
-def _check_klein_pair(r1: Fraction, r2: Fraction):
-    if r1.denominator == 1 and r2.denominator == 1:
-        raise ValueError("Klein parameters must not both be integers")
-    if not (-1 < r1 < 1):
-        raise ValueError("first Klein parameter must lie in (-1, 1)")
+def _klein_pairs(*pairs):
+    """(n, the pairs n r): n is the common denominator of the rational Klein
+    parameters r, no pair integral and every first parameter in (-1, 1)."""
+    for r1, r2 in pairs:
+        if r1.denominator == 1 and r2.denominator == 1:
+            raise ValueError("Klein parameters must not both be integers")
+        if not (-1 < r1 < 1):
+            raise ValueError("first Klein parameter must lie in (-1, 1)")
+    n = math.lcm(*(r.denominator for pair in pairs for r in pair))
+    return n, tuple((int(r1 * n), int(r2 * n)) for r1, r2 in pairs)
 
 
 def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
@@ -460,12 +464,9 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
         q1, q2 = (Fraction(s) for s in bottom.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed klein-quotient name {name!r}") from exc
-    _check_klein_pair(p1, p2)
-    _check_klein_pair(q1, q2)
-    level = math.lcm(p1.denominator, p2.denominator, q1.denominator, q2.denominator)
+    level, (p, s) = _klein_pairs((p1, p2), (q1, q2))
     rational = p2 == 0 and q2 == 0 and level % 2 == 1
-    forms = ((1, (int(p1 * level), int(p2 * level))),
-             (-1, (int(q1 * level), int(q2 * level))))
+    forms = ((1, p), (-1, s))
 
     def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
         with mp.workprec(cfg.working_bits):

@@ -30,7 +30,7 @@ from classpoly.modfunc import (
     _theta_ctx,
 )
 from classpoly.modgroup import S, UnimodularMatrix, mobius_apply, translation
-from classpoly.quadforms import reduced_forms
+from classpoly.quadforms import QuadraticForm, reduced_forms
 
 from _oracles import (
     eta_reference,
@@ -183,6 +183,20 @@ def test_rr_replay_keeps_its_precision_where_the_reduced_value_is_tiny():
     ref = eval_rr(tau, PrecisionConfig(target_bits=2048)).to_mpc()
     with mp.workprec(2200):
         assert abs(ours - ref) / abs(ref) < mpf(2) ** -128
+
+
+def test_rr_replay_returns_a_tiny_value_moved_by_a_translation():
+    """A point high up reduces by a pure translation, which only multiplies
+    r by a root of unity and loses no bits: r there is about 2^-362, past the
+    bits the replay adds, and is returned, as the product at tau itself
+    gives it.  The form is the principal point of D = -160003, so a level-5
+    class of that discriminant is evaluated there."""
+    for tau in (mpc("0.1", "200"), QuadraticForm(1, 1, 40001)):
+        got = eval_rr(tau, CFG128).to_mpc()
+        want = eval_rr_product(tau, CFG128).to_mpc()
+        with mp.workprec(200):
+            assert mp.mag(got) < -360
+            assert abs(got - want) / abs(want) < mpf(2) ** -128
 
 
 def test_rr_replay_refuses_a_point_too_near_a_cusp():
