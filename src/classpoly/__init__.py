@@ -37,11 +37,8 @@ from .modfunc import (
     catalog_lookup,
     check_icosahedral,
     check_klein_relation,
-    eval_eta,
     eval_j,
-    eval_klein,
     eval_rr,
-    eval_rr_product,
 )
 from .modgroup import (
     CosetTable,

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
 from .conjugates import (
     ClassFieldJob,
@@ -30,6 +30,7 @@ from .errors import (
     PowerCheckError,
     PrecisionExhaustedError,
     RoundingFailureError,
+    nstr,
 )
 from .modfunc import (
     PrecisionConfig,
@@ -44,10 +45,6 @@ from .quadforms import FORM_TEXT, CMOrder, reduced_forms
 # ----------------------------------------------------------------------
 # shared rendering helpers
 # ----------------------------------------------------------------------
-
-def _nstr(x, digits: int = 12) -> str:
-    return mp.nstr(x, digits)
-
 
 def _matrix_json(m):
     return [[m.a, m.b], [m.c, m.d]]
@@ -128,8 +125,8 @@ def _polynomial_json(result: RunResult):
 
 def _verification_json(result: RunResult):
     return {
-        "max_rounding_residual": _nstr(result.max_rounding_residual),
-        "value_residual": _nstr(result.value_residual),
+        "max_rounding_residual": nstr(result.max_rounding_residual),
+        "value_residual": nstr(result.value_residual),
         "reality_shortcut": result.reality_shortcut,
         "precision_bits_used": result.precision_bits_used,
         "escalations": result.escalations,
@@ -206,8 +203,8 @@ def _print_compute_text(result: RunResult, args) -> None:
     w(f"polynomial degree {result.polynomial.degree}, exponent {result.exponent}\n")
     w(f"p(x)   = {result.polynomial}\n")
     w(f"irr(x) = {result.irreducible}\n")
-    w(f"max rounding residual   {_nstr(result.max_rounding_residual)}\n")
-    w(f"|irr(value)|            {_nstr(result.value_residual)}\n")
+    w(f"max rounding residual   {nstr(result.max_rounding_residual)}\n")
+    w(f"|irr(value)|            {nstr(result.value_residual)}\n")
 
 
 # ----------------------------------------------------------------------
@@ -237,17 +234,17 @@ def _cmd_validate(args) -> int:
             {
                 "input": {"point": args.point, "precision_bits": args.precision},
                 "verification": {
-                    "icosahedral_residual": _nstr(icosa),
-                    "klein_quotient_residual": _nstr(klein),
-                    "threshold": _nstr(threshold),
+                    "icosahedral_residual": nstr(icosa),
+                    "klein_quotient_residual": nstr(klein),
+                    "threshold": nstr(threshold),
                     "passed": ok,
                 },
             }
         )
     else:
-        sys.stdout.write(f"icosahedral residual     {_nstr(icosa)}\n")
-        sys.stdout.write(f"klein quotient residual  {_nstr(klein)}\n")
-        sys.stdout.write(f"threshold                {_nstr(threshold)}\n")
+        sys.stdout.write(f"icosahedral residual     {nstr(icosa)}\n")
+        sys.stdout.write(f"klein quotient residual  {nstr(klein)}\n")
+        sys.stdout.write(f"threshold                {nstr(threshold)}\n")
         sys.stdout.write(f"passed                   {'yes' if ok else 'no'}\n")
     if not ok:
         raise CrossCheckError("identity residuals exceeded the threshold")

@@ -260,8 +260,8 @@ def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
 def compute_conjugates(job: ClassFieldJob,
                        table: CosetTable | None = None) -> list:
     """Evaluate the function once per extended class, at the job's
-    precision.  A series refused as too long raises NonConvergenceError;
-    more precision would only lengthen it, so there is no retry."""
+    precision.  A value refused by its evaluator, an rr replay too near a
+    cusp, raises NonConvergenceError, and there is no retry."""
     _, prepared = _prepare(job, table)
     return _evaluate_classes(prepared, job.function, job.precision)
 

@@ -1,14 +1,23 @@
 """Exception types shared across the package."""
 
+from mpmath import mp, mpf
+
+
+def nstr(x, digits: int = 12) -> str:
+    """x to the given significant digits, rounded to 128 bits first: mpmath's
+    str of a mantissa past about 14,000 bits, far from 1, builds an integer
+    past Python's 4,300-digit limit for str."""
+    with mp.workprec(128):
+        return mp.nstr(mpf(x), digits)
 
 class ClasspolyError(Exception):
     """Base class for errors raised by this package."""
 
 
 class NonConvergenceError(ClasspolyError):
-    """A theta series would need more than MAX_TERMS terms to reach its
-    tail bound, and is refused before any term is summed; or the rr replay,
-    at a point too near a cusp, would lose more bits than it adds."""
+    """A theta series lost more bits to cancellation than a reduced point
+    allows, or the rr replay, at a point too near a cusp, would lose more
+    bits than it adds."""
 
 
 class PrecisionExhaustedError(ClasspolyError):
@@ -24,7 +33,7 @@ class RoundingFailureError(ClasspolyError):
         self.threshold = threshold
         self.kind = kind
         super().__init__(
-            f"{kind} residual {residual} exceeds threshold {threshold}"
+            f"{kind} residual {nstr(residual, 5)} exceeds threshold {nstr(threshold, 5)}"
         )
 
 

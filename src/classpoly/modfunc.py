@@ -1,20 +1,16 @@
 """Arbitrary-precision evaluation of the modular functions in the catalog.
 
 Every evaluator runs inside an mpmath working-precision context of
-target_bits + GUARD_BITS and returns an APComplex tagged with the certified
-target precision.  All of them rest on one kernel, _theta_ctx, the Jacobi
-triple product summed as a series of about sqrt(bits / log2(1/|q|)) terms
-per side and cut by a certified tail bound.  The kernel runs on Python
-integers, as Gaussian integers at a fixed scale 2^F whose guard bits above
-the working precision grow with the log of the side length, so that the
-rounding of every shift stays below half the working resolution in all:
-eta is Euler's pentagonal series
-theta(q^3, q), the level-5 value is q^(1/5) theta(q^5, q) / theta(q^5, q^2),
-j is Weber's (f^24 + 16)^3 / f^24 with f^24 = 2^12 q (P(q^2)/P(q))^24 and
-P(q) = theta(q^3, q), and a Klein form at integer parameters a / n, moved
-into [0, n)^2 by its transformation laws, is a prefactor times
-theta(q, e^(2 pi i (a1 tau + a2) / n)) / P(q)^3, the prefactors of a
-quotient gathered into one exponential.
+target_bits + GUARD_BITS, takes its series only at a point reduced to the
+fundamental domain (a form exactly, by Gauss reduction), carries the value
+back by the function's transformation law, and returns an APComplex tagged
+with the certified target precision.  One kernel, _theta_ctx, sums the
+Jacobi triple product once, in fixed point: the level-5 value is
+q^(1/5) theta(q^5, q) / theta(q^5, q^2), j is Weber's (f^24 + 16)^3 / f^24
+with f^24 = 2^12 q (P(q^2)/P(q))^24 and P(q) = theta(q^3, q), and a Klein
+form at integer parameters a / n, moved into [0, n)^2 by its transformation
+laws, is a prefactor times theta(q, e^(2 pi i (a1 tau + a2) / n)) / P(q)^3,
+the prefactors of a quotient gathered into one exponential.
 
 The q^e convention throughout is q^e = exp(2*pi*i*e*tau).
 """
@@ -30,13 +26,12 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, mpf_log, round_nearest, to_fixed, to_float
 
 from .errors import NonConvergenceError
-from .modgroup import IDENTITY, fundamental_domain_reduce
+from .modgroup import fundamental_domain_reduce
 from .quadforms import QuadraticForm, reduce_form
 
 
 GUARD_BITS = 64  # working headroom above the target precision
 ESCALATION_FACTOR = 2  # growth of the bits per escalation
-MAX_TERMS = 500_000  # cap on the terms of one theta series, over all passes
 
 
 @dataclass(frozen=True)
@@ -158,12 +153,15 @@ def _theta_ctx(q: mpc, x: mpc, label: str) -> mpc:
     guard F - prec = 4 bitlen(n) + 6 keeps all of that below res/2: the
     value returned is within res (1 + |sum|) of the series.
 
-    No term exceeds 1, so a small sum (near the real line) has lost
-    log2(1/|sum|) bits; past a quarter of the guard bits, the series is
-    summed again with them added.  Each pass is charged its bound of 2 n
-    terms before it sums anything, and a series whose passes together
-    would pass MAX_TERMS is refused up front; more precision only
-    lengthens it.  The zeros x = 1 and x = q of the product are refused.
+    No term exceeds 1, so a small sum has lost log2(1/|sum|) bits.  The
+    evaluators sum only at reduced points, where |q| <= e^(-pi sqrt 3): the
+    factors 1 - q^k of j and the level-5 value are near 1, and of a Klein
+    form's, at x = q_a = e^(2 pi i (a1 z + a2) / n) with a in [0, n)^2, only
+    one of 1 - q_a and 1 - q/q_a can be small, since |q_a| |q/q_a| = |q|; it
+    is at least 2 sin(pi/n) if a1 = 0, else 1 - e^(-pi sqrt 3 / n), about
+    5/n either way.  So such a sum loses at most about log2 n bits; one that
+    loses more than a quarter of the guard bits is refused, not returned
+    below its precision.  The zeros x = 1 and x = q are refused too.
     """
     absq = abs(q)
     if not (absq < 1 and absq <= abs(x) <= 1) or x in (1, q):
@@ -171,38 +169,33 @@ def _theta_ctx(q: mpc, x: mpc, label: str) -> mpc:
     gap = 1 - absq
     slope = -to_float(mpf_log(absq._mpf_, 53)) / math.log(2)  # inf at q = 0
     gap_bits = -to_float(mpf_log(gap._mpf_, 53)) / math.log(2)
-    base = prec = mp.prec
-    terms = 0  # bounds charged, over all passes
-    while True:
-        side = int(math.sqrt(2 * (prec + 3 + gap_bits) / slope)) + 2
-        terms += 2 * side
-        if terms > MAX_TERMS:
-            raise NonConvergenceError(f"{label} needs more than {MAX_TERMS} terms")
-        guard = 4 * side.bit_length() + 6
-        shift = prec + guard
-        half = 1 << (shift - 1)
-        with mp.workprec(shift):
-            y = q / x
-        qr, qi = to_fixed(q.real._mpf_, shift), to_fixed(q.imag._mpf_, shift)
-        cut = to_fixed(gap._mpf_, guard - 2)  # res (1-|q|)/4, in units
-        cut2 = cut * cut
-        total_re, total_im = 1 << shift, 0
-        for step in (x, y):  # -t_1 and -t_(-1); each later step gains a q
-            sr, si = to_fixed(step.real._mpf_, shift), to_fixed(step.imag._mpf_, shift)
-            tr, ti = -sr, -si
-            while abs(tr) >= cut or abs(ti) >= cut or tr * tr + ti * ti >= cut2:
-                total_re += tr
-                total_im += ti
-                sr, si = ((sr * qr - si * qi + half) >> shift,
-                          (sr * qi + si * qr + half) >> shift)
-                tr, ti = (-((tr * sr - ti * si + half) >> shift),
-                          -((tr * si + ti * sr + half) >> shift))
-        total = mp.make_mpc((from_man_exp(total_re, -shift, prec, round_nearest),
-                             from_man_exp(total_im, -shift, prec, round_nearest)))
-        lost = -mp.mag(total)  # bits cancelled away
-        if prec >= base + lost - GUARD_BITS // 4:
-            return total
-        prec = base + lost
+    prec = mp.prec
+    side = int(math.sqrt(2 * (prec + 3 + gap_bits) / slope)) + 2
+    guard = 4 * side.bit_length() + 6
+    shift = prec + guard
+    half = 1 << (shift - 1)
+    with mp.workprec(shift):
+        y = q / x
+    qr, qi = to_fixed(q.real._mpf_, shift), to_fixed(q.imag._mpf_, shift)
+    cut = to_fixed(gap._mpf_, guard - 2)  # res (1-|q|)/4, in units
+    cut2 = cut * cut
+    total_re, total_im = 1 << shift, 0
+    for step in (x, y):  # -t_1 and -t_(-1); each later step gains a q
+        sr, si = to_fixed(step.real._mpf_, shift), to_fixed(step.imag._mpf_, shift)
+        tr, ti = -sr, -si
+        while abs(tr) >= cut or abs(ti) >= cut or tr * tr + ti * ti >= cut2:
+            total_re += tr
+            total_im += ti
+            sr, si = ((sr * qr - si * qi + half) >> shift,
+                      (sr * qi + si * qr + half) >> shift)
+            tr, ti = (-((tr * sr - ti * si + half) >> shift),
+                      -((tr * si + ti * sr + half) >> shift))
+    total = mp.make_mpc((from_man_exp(total_re, -shift, prec, round_nearest),
+                         from_man_exp(total_im, -shift, prec, round_nearest)))
+    lost = -mp.mag(total)  # bits cancelled away
+    if lost > GUARD_BITS // 4:
+        raise NonConvergenceError(f"{label}: the theta series lost {lost} bits to cancellation")
+    return total
 
 
 def _rr_product_ctx(z: mpc) -> mpc:
@@ -257,12 +250,6 @@ def _rr_ctx(tau) -> mpc:
     return +value
 
 
-def _eta_product_ctx(z: mpc) -> mpc:
-    """prod_(n>=1) (1 - q^n) = theta(q^3, q), Euler's pentagonal series."""
-    q = mp.expjpi(2 * z)
-    return _theta_ctx(q * q * q, q, "eta-product")
-
-
 def _j_ctx(tau) -> mpc:
     """Klein j by Weber's (f^24 + 16)^3 / f^24, where f = f2 and
     f^24 = 2^12 q (P(q^2) / P(q))^24 with P(q) = prod (1-q^n) = theta(q^3, q),
@@ -315,29 +302,11 @@ def _klein_ctx(forms, z: mpc, gamma, n: int) -> mpc:
 # public evaluators
 # ----------------------------------------------------------------------
 
-def eval_rr_product(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Level-5 continued-fraction value by its two theta series at tau
-    itself, no argument reduction: slow (or non-convergent) near the real
-    line, where |q| approaches 1 and the series cancel."""
-    with mp.workprec(cfg.working_bits):
-        value = _rr_product_ctx(_as_mpc(tau))
-    return APComplex.from_mpc(value, cfg.target_bits)
-
-
 def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
     """Level-5 continued-fraction value; reduces the point to the
     fundamental domain, a form exactly, and replays the matrix on the value."""
     with mp.workprec(cfg.working_bits):
         value = _rr_ctx(tau)
-    return APComplex.from_mpc(value, cfg.target_bits)
-
-
-def eval_eta(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Dedekind eta, q^(1/24) prod (1 - q^n), at tau itself: slow near the
-    real line, where the series is long and its sum small."""
-    with mp.workprec(cfg.working_bits):
-        z = _as_mpc(tau)
-        value = mp.expjpi(z / 12) * _eta_product_ctx(z)
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
@@ -348,55 +317,47 @@ def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
     return APComplex.from_mpc(value, cfg.target_bits)
 
 
-def eval_klein(r1, r2, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
-    """Klein form k_(r1, r2)(tau) for rational parameters, -1 < r1 < 1 and
-    not both integers, by the theta series at tau itself: no argument
-    reduction, so slow (or non-convergent) near the real line.  It is the
-    reference for the reduced klein-quotient evaluator, and divides by the
-    cube of the pentagonal series prod (1-q^n), which the quotient cancels."""
-    n, (r,) = _klein_pairs((Fraction(r1), Fraction(r2)))
-    with mp.workprec(cfg.working_bits):
-        z = _as_mpc(tau)
-        p = _eta_product_ctx(z)
-        value = _klein_ctx(((1, r),), z, IDENTITY, n) / (p * p * p)
-    return APComplex.from_mpc(value, cfg.target_bits)
-
-
 # ----------------------------------------------------------------------
 # identity checks
 # ----------------------------------------------------------------------
 
+def _icosahedral_residual(x: mpc, jv: mpc) -> mpf:
+    """Relative backward error |F| / (|x dF/dx| + |j dF/dj|) of the degree-60
+    relation F = A^3 + j x^5 C^5 = 0 between the level-5 value x and j, with
+    A = x^20 - 228 x^15 + 494 x^10 + 228 x^5 + 1, C = x^10 + 11 x^5 - 1: to
+    first order, the least relative change of x and j that makes F vanish.
+    It stays small near a root of C, where j is huge and F ill-conditioned."""
+    # products, not **: mpmath's high-precision pow is log/exp
+    x2 = x * x
+    x5 = x2 * x2 * x
+    x10 = x5 * x5
+    x15 = x10 * x5
+    x20 = x15 * x5
+    a = x20 - 228 * x15 + 494 * x10 + 228 * x5 + 1
+    xa = 20 * x20 - 3420 * x15 + 4940 * x10 + 1140 * x5  # x dA/dx
+    c = x10 + 11 * x5 - 1
+    c4 = (c * c) * (c * c)
+    jb = jv * x5 * c4 * c  # j dF/dj
+    xb = 5 * x5 * c4 * (11 * x10 + 66 * x5 - 1)  # x d(x^5 C^5)/dx
+    a2 = a * a
+    return abs(a2 * a + jb) / (abs(3 * a2 * xa + jv * xb) + abs(jb))
+
+
 def check_icosahedral(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
-    """Residual of the degree-60 relation tying the level-5 value x to j:
-    (x^20 - 228 x^15 + 494 x^10 + 228 x^5 + 1)^3 + j x^5 (x^10 + 11 x^5 - 1)^5,
-    normalized by the largest of the two terms.  Returns an mpf."""
+    """The icosahedral relation between r(tau) and j(tau), as its relative
+    backward error (_icosahedral_residual).  Returns an mpf."""
     with mp.workprec(cfg.working_bits):
-        x = _rr_ctx(tau)
-        jv = _j_ctx(tau)
-        # products, not **: mpmath's high-precision pow is log/exp
-        x2 = x * x
-        x5 = x2 * x2 * x
-        x10 = x5 * x5
-        x15 = x10 * x5
-        x20 = x15 * x5
-        a = x20 - 228 * x15 + 494 * x10 + 228 * x5 + 1
-        c = x10 + 11 * x5 - 1
-        c2 = c * c
-        b = x5 * c2 * c2 * c
-        a3 = a * a * a
-        lhs = a3 + jv * b
-        scale = max(abs(a3), abs(jv * b))
-        residual = abs(lhs) / scale
+        residual = _icosahedral_residual(_rr_ctx(tau), _j_ctx(tau))
     return residual
 
 
 def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
-    """Relative difference between the level-5 value at tau and the quotient
-    of Klein forms k_(1/5,0) / k_(2/5,0) taken at 5*tau.  Returns an mpf."""
+    """Relative difference between r(tau), replayed from its reduced point,
+    and the klein-quotient:1/5,0|2/5,0 entry at tau, which moves its Klein
+    parameters from the reduced point of 5 tau instead.  Returns an mpf."""
+    quotient = catalog_lookup("klein-quotient:1/5,0|2/5,0").evaluate(tau, cfg).to_mpc()
     with mp.workprec(cfg.working_bits):
-        z = _as_mpc(tau)
         r_value = _rr_ctx(tau)
-        quotient = _klein_ctx(((1, (1, 0)), (-1, (2, 0))), 5 * z, IDENTITY, 5)
         residual = abs(r_value - quotient) / abs(r_value)
     return residual
 
@@ -444,18 +405,6 @@ _BASE_CATALOG = (
 _KLEIN_PREFIX = "klein-quotient:"
 
 
-def _klein_pairs(*pairs):
-    """(n, the pairs n r): n is the common denominator of the rational Klein
-    parameters r, no pair integral and every first parameter in (-1, 1)."""
-    for r1, r2 in pairs:
-        if r1.denominator == 1 and r2.denominator == 1:
-            raise ValueError("Klein parameters must not both be integers")
-        if not (-1 < r1 < 1):
-            raise ValueError("first Klein parameter must lie in (-1, 1)")
-    n = math.lcm(*(r.denominator for pair in pairs for r in pair))
-    return n, tuple((int(r1 * n), int(r2 * n)) for r1, r2 in pairs)
-
-
 def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
     body = name[len(_KLEIN_PREFIX):]
     try:
@@ -464,9 +413,11 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
         q1, q2 = (Fraction(s) for s in bottom.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed klein-quotient name {name!r}") from exc
-    level, (p, s) = _klein_pairs((p1, p2), (q1, q2))
+    if (p1.denominator, p2.denominator) == (1, 1) or (q1.denominator, q2.denominator) == (1, 1):
+        raise ValueError("Klein parameters must not both be integers")
+    level = math.lcm(p1.denominator, p2.denominator, q1.denominator, q2.denominator)
     rational = p2 == 0 and q2 == 0 and level % 2 == 1
-    forms = ((1, p), (-1, s))
+    forms = ((1, (int(p1 * level), int(p2 * level))), (-1, (int(q1 * level), int(q2 * level))))
 
     def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
         with mp.workprec(cfg.working_bits):

@@ -55,9 +55,12 @@ def rr_continued_fraction(tau, bits: int, depth: int | None = None) -> mpc:
         q = mp.expjpi(2 * z)
         if depth is None:
             depth = int((bits + 80) / (-mp.log(abs(q), 2))) + 40
+        powers = [q]  # q^n by products: a few bits lost, far below the 80 added
+        for _ in range(depth - 1):
+            powers.append(powers[-1] * q)
         acc = mpc(1)
-        for n in range(depth, 0, -1):
-            acc = 1 + q ** n / acc
+        for qn in reversed(powers):
+            acc = 1 + qn / acc
         value = mp.expjpi(2 * z / 5) / acc
     return value
 
@@ -97,7 +100,7 @@ def klein_theta_reference(r1, r2, tau, bits: int) -> mpc:
 def theta_reference(q: mpc, x: mpc) -> mpc:
     """The triple-product series sum_m (-1)^m q^(m(m-1)/2) x^m in mpc
     arithmetic at the ambient precision, with the package kernel's tail cut
-    res (1-|q|)/4 and its second pass against cancellation: the floating-point
+    res (1-|q|)/4 and a second pass against cancellation: the floating-point
     route the fixed-point kernel replaced."""
     absq = abs(q)
     base = prec = mp.prec

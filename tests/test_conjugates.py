@@ -27,6 +27,7 @@ from classpoly.errors import (
     PoleError,
     PrecisionExhaustedError,
     RoundingFailureError,
+    nstr,
 )
 from classpoly import modfunc
 from classpoly.modfunc import (
@@ -406,6 +407,15 @@ def test_klein_quotient_with_a_negative_first_parameter(disc, level, negated, pl
     assert result.irreducible.coeffs == tuple((-1) ** k * c for k, c in enumerate(want))
 
 
+def test_klein_quotient_with_a_first_parameter_past_one():
+    """K3 moves (6/5, 0) to (1/5, 0) with the sign -1, so k_(6/5,0) / k_(2/5,0)
+    at (-52, 5) certifies the golden polynomial at -x."""
+    result = run(ClassFieldJob.create(-52, 5, "klein-quotient:6/5,0|2/5,0", 256))
+    assert result.exponent == 1
+    assert result.irreducible.coeffs == tuple(
+        (-1) ** k * c for k, c in enumerate(GOLDEN_MINUS_52_LEVEL_5_ASC))
+
+
 def test_run_degree_192_rogers_ramanujan():
     """(-231, 5): 96 extended classes and a complex generator, so the
     product has degree 192; it is squarefree and certified at 256 bits."""
@@ -585,6 +595,23 @@ def test_exhaustion_names_the_certificate_that_failed(bits, kind):
     assert isinstance(cause, RoundingFailureError)
     assert cause.kind == kind
     assert f"(last failure: {kind} residual " in str(info.value)
+
+
+def test_a_residual_past_the_decimal_digit_limit_formats():
+    """(-4079, 1, j, 4096) fails its value check on a residual near 2^20450
+    before it certifies at 32,768 bits, where it prints residuals far below
+    1.  mpmath's str of such a long mantissa passes Python's 4,300-digit
+    limit for integer conversion, and its ValueError would read as invalid
+    input (exit 2); the message and the printed residuals carry a few
+    digits."""
+    with mp.workprec(32768 + modfunc.GUARD_BITS):
+        residual = mp.sqrt(mpf(2)) * mpf(2) ** 20450
+        threshold = mpf(2) ** -8192
+    error = RoundingFailureError(residual, threshold, kind="value")
+    assert str(error) == "value residual 1.6365e+6156 exceeds threshold 9.168e-2467"
+    with mp.workprec(32768 + modfunc.GUARD_BITS):
+        certified = mp.sqrt(mpf(2)) * mpf(2) ** -16000
+    assert nstr(certified) == "4.68364935829e-4817"
 
 
 def test_precision_exhaustion_on_non_integer_values():
