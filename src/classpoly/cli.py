@@ -371,7 +371,7 @@ def _cmd_catalog(args) -> int:
             )
         sys.stdout.write(
             "klein-quotient:R1,R2|S1,S2   parametrized family "
-            "(rational parameters, first in (-1,1))\n"
+            "(rational pairs, neither a pair of integers)\n"
         )
     return 0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from math import gcd
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import to_fixed
 
 from .errors import (
     CrossCheckError,
@@ -278,9 +278,10 @@ def assemble_poly(data: list, job: ClassFieldJob):
     is real the conjugate set is closed under complex conjugation already,
     otherwise each value is paired with its conjugate (degree doubles).
 
-    The schoolbook runs on Gaussian integers at scale 2^(bits + GUARD_BITS),
-    each product shifted back and rounded to nearest.  Returns (coefficients
-    ascending as APComplex, used_reality_shortcut).
+    The schoolbook runs on Gaussian integers at scale 2^shift, shift = bits
+    + GUARD_BITS, each product shifted back and rounded to nearest.  Returns
+    ((re, im, shift), used_reality_shortcut), with re and im the scaled
+    integer parts of the coefficients, ascending.
     """
     base_value = _identity_value(data)
     bits = base_value.precision_bits
@@ -301,13 +302,7 @@ def assemble_poly(data: list, job: ClassFieldJob):
             below_re, below_im = cr, ci
         re.append(below_re)
         im.append(below_im)
-    out = [
-        APComplex(mp.make_mpf(from_man_exp(cr, -shift, shift, round_nearest)),
-                  mp.make_mpf(from_man_exp(ci, -shift, shift, round_nearest)),
-                  bits)
-        for cr, ci in zip(re, im)
-    ]
-    return out, is_real
+    return (re, im, shift), is_real
 
 
 @dataclass

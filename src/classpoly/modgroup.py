@@ -15,19 +15,6 @@ from math import gcd
 from mpmath import mp, mpc, mpf
 
 
-def _egcd(a: int, b: int):
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    return old_r, old_u, old_v
-
-
 @dataclass(frozen=True)
 class UnimodularMatrix:
     """Element [[a, b], [c, d]] of SL2(Z)."""
@@ -112,8 +99,9 @@ def normalize_vector(a: int, c: int, n: int, tie_break: str = "min"):
 def lift_vector_to_sl2(a: int, c: int, n: int) -> UnimodularMatrix:
     """Some gamma in SL2(Z) whose first column is congruent to (a, c) mod n.
 
-    The integer first column (a', c') is chosen with gcd(a', c') = 1 and then
-    completed via the extended Euclidean algorithm.
+    The integer first column (a', c') is chosen with gcd(a', c') = 1 and
+    c' in [1, n], then completed by u = a'^-1 mod c' as [[a', (a' u - 1)/c'],
+    [c', u]], so 0 <= d < c'.
     """
     if n == 1:
         return IDENTITY
@@ -128,13 +116,8 @@ def lift_vector_to_sl2(a: int, c: int, n: int) -> UnimodularMatrix:
     ap = a0
     while gcd(ap, cp) != 1:  # terminates: some a0 + t*n is coprime to cp
         ap += n
-    g, u, v = _egcd(ap, cp)
-    assert g == 1
-    # det [[ap, -v], [cp, u]] = ap*u + cp*v = 1; shift keeps column two small
-    shift = u // cp
-    u -= shift * cp
-    v += shift * ap
-    return UnimodularMatrix(ap, -v, cp, u)
+    u = pow(ap, -1, cp)
+    return UnimodularMatrix(ap, (ap * u - 1) // cp, cp, u)
 
 
 def _coset_class_keys(n: int, tie_break: str):

@@ -1,16 +1,18 @@
 """Exact arithmetic on integer polynomials.
 
 Coefficients are Python ints stored in ascending degree order, and every
-step is exact integer arithmetic.  The squarefree part comes from a gcd
-modulo a large prime that is verified by exact division over the integers,
-so no rational arithmetic is needed.
+step but eval_poly is exact integer arithmetic: rounding takes the scaled
+integers of the assembly apart by a shift, and the squarefree part comes
+from a gcd modulo a large prime that is verified by exact division over the
+integers, so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
+from mpmath.libmp import from_man_exp
 
 from .errors import PowerCheckError, RoundingFailureError
 
@@ -140,26 +142,22 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)})"
 
 
-def round_coefficients(values, fail_above=None):
-    """Round inexact coefficients (ascending degree) to the nearest integers.
+def round_coefficients(coeffs, fail_above=None):
+    """Round the scaled Gaussian integers (re, im, shift) of assemble_poly,
+    coefficient k being (re[k] + i im[k]) / 2^shift, to the nearest integers,
+    halves rounding up.
 
-    Returns (IntPolynomial, max_residual) where the residual of a value is
-    the larger of its distance to the nearest integer and its imaginary
-    magnitude.  When fail_above is given, a residual at or above it raises
-    RoundingFailureError.
+    Returns (IntPolynomial, max_residual) where the residual of a
+    coefficient is the larger of its distance to the nearest integer and its
+    imaginary magnitude, exactly.  When fail_above is given, a residual at
+    or above it raises RoundingFailureError.
     """
-    prec = 64
-    for v in values:
-        prec = max(prec, getattr(v, "precision_bits", 64))
-    ints = []
-    with mp.workprec(prec + 64):
-        max_residual = mpf(0)
-        for v in values:
-            z = v.to_mpc() if hasattr(v, "to_mpc") else mpc(v)
-            nearest = mp.nint(z.real)
-            residual = max(abs(z.real - nearest), abs(z.imag))
-            max_residual = max(max_residual, residual)
-            ints.append(int(nearest))
+    re, im, shift = coeffs
+    half = 1 << (shift - 1)
+    ints = [(c + half) >> shift for c in re]
+    worst = max(max(abs(c - (n << shift)) for c, n in zip(re, ints)),
+                max(map(abs, im)))
+    max_residual = mp.make_mpf(from_man_exp(worst, -shift))
     if fail_above is not None and max_residual >= fail_above:
         raise RoundingFailureError(max_residual, fail_above)
     return IntPolynomial(ints), max_residual

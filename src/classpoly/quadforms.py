@@ -129,36 +129,12 @@ def class_number(discriminant: int) -> int:
 
 
 def _conductor(discriminant: int) -> int:
-    """Largest f with discriminant / f^2 still a discriminant that is
-    fundamental (squarefree odd part pattern)."""
-    best = 1
-    f = 1
-    while f * f <= -discriminant:
-        if discriminant % (f * f) == 0:
-            d0 = discriminant // (f * f)
-            if d0 % 4 in (0, 1) and _is_fundamental(d0):
-                best = max(best, f)
-        f += 1
-    return best
-
-
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
-def _is_fundamental(d: int) -> bool:
-    if d % 4 == 1:
-        return _squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return _squarefree(m) and m % 4 in (2, 3)
-    return False
+    """The largest f with f^2 dividing the discriminant and the quotient
+    still 0 or 1 mod 4.  That quotient is fundamental: were it not, its own
+    conductor times f would be a larger such f."""
+    return max(f for f in range(1, isqrt(-discriminant) + 1)
+               if discriminant % (f * f) == 0
+               and discriminant // (f * f) % 4 in (0, 1))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -191,6 +191,23 @@ def _prime_divisors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+def conductor_by_squarefreeness(disc: int) -> int:
+    """The one f with disc / f^2 fundamental: squarefree and 1 mod 4, or 4m
+    with m squarefree and 2 or 3 mod 4, squarefreeness read off the prime
+    divisors."""
+    def squarefree(n):
+        return prod(_prime_divisors(-n)) == -n
+
+    def fundamental(d):
+        if d % 4 == 1:
+            return squarefree(d)
+        return d % 4 == 0 and d // 4 % 4 in (2, 3) and squarefree(d // 4)
+
+    (f,) = [f for f in range(1, isqrt(-disc) + 1)
+            if disc % (f * f) == 0 and fundamental(disc // (f * f))]
+    return f
 
 
 def coset_count_formula(n: int) -> int:

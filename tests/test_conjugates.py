@@ -305,9 +305,10 @@ def test_cells_with_one_orbit_key_share_their_value(disc, level, function, bits,
 
 def test_assemble_poly_uses_reality_shortcut(golden_conjugates):
     job, data = golden_conjugates
-    coeffs, shortcut = assemble_poly(data, job)
+    (re, im, shift), shortcut = assemble_poly(data, job)
     assert shortcut is True
-    assert len(coeffs) == 25
+    assert len(re) == len(im) == 25
+    assert shift == 192 + modfunc.GUARD_BITS
 
 
 @pytest.mark.parametrize("disc, level, function, bits, degree, coeff_bits, is_real", [
@@ -316,18 +317,20 @@ def test_assemble_poly_uses_reality_shortcut(golden_conjugates):
 ])
 def test_fixed_point_assembly_matches_the_mpc_schoolbook(disc, level, function, bits,
                                                          degree, coeff_bits, is_real):
-    """Within 2^-bits times each coefficient's size, at the largest
+    """The scaled integers, over 2^shift, agree with the mpc schoolbook
+    within 2^-bits times each coefficient's size, at the largest
     coefficients of the bench and the largest degree of the tests."""
     job = ClassFieldJob.create(disc, level, function, bits)
     data = compute_conjugates(job)
-    coeffs, shortcut = assemble_poly(data, job)
+    (re, im, shift), shortcut = assemble_poly(data, job)
     ref, ref_shortcut = assemble_reference(data, job)
     assert shortcut is ref_shortcut is is_real
-    assert len(coeffs) == len(ref) == degree + 1
+    assert shift == bits + modfunc.GUARD_BITS
+    assert len(re) == len(im) == len(ref) == degree + 1
     with mp.workprec(2 * bits):
-        for ours, theirs in zip(coeffs, ref):
-            assert ours.precision_bits == theirs.precision_bits == bits
-            gap = abs(ours.to_mpc() - theirs.to_mpc())
+        for cr, ci, theirs in zip(re, im, ref):
+            ours = mpc(mp.ldexp(cr, -shift), mp.ldexp(ci, -shift))
+            gap = abs(ours - theirs.to_mpc())
             assert gap < mpf(2) ** -bits * max(1, abs(theirs.to_mpc()))
         assert mp.mag(max(abs(c.to_mpc()) for c in ref)) == coeff_bits
 
@@ -595,6 +598,21 @@ def test_exhaustion_names_the_certificate_that_failed(bits, kind):
     assert isinstance(cause, RoundingFailureError)
     assert cause.kind == kind
     assert f"(last failure: {kind} residual " in str(info.value)
+
+
+def test_rounding_residual_keeps_the_fraction_of_wide_coefficients():
+    """(-52, 5, j) at 256 bits assembles 12 copies of H_-52, coefficients
+    of 589 bits over a 320-bit scale: its rounding residual must be measured
+    on the whole fraction, not on the coefficients cut to 320 bits, which
+    read about 4e-4 where the distance is about one half."""
+    job = ClassFieldJob.create(-52, 5, "j", 256)
+    job = replace(job, precision=PrecisionConfig(256, max_escalations=0))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        run(job)
+    cause = info.value.__cause__
+    assert isinstance(cause, RoundingFailureError)
+    assert cause.kind == "rounding"
+    assert cause.residual > mpf("0.25")
 
 
 def test_a_residual_past_the_decimal_digit_limit_formats():

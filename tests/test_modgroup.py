@@ -132,6 +132,7 @@ def test_lift_vector_congruence():
                     continue
                 g = lift_vector_to_sl2(a, c, n)
                 assert g.a % n == a and g.c % n == c
+                assert g.c == 0 or 0 <= g.d < g.c
 
 
 # ----------------------------------------------------------------------

@@ -122,39 +122,61 @@ def test_json_round_trip_with_huge_coefficients():
 # rounding
 # ----------------------------------------------------------------------
 
+def _scaled(values, shift):
+    """(re, im, shift) in the shape assemble_poly returns, from exact
+    rationals (a number, or a (real, imaginary) pair)."""
+    pairs = [v if isinstance(v, tuple) else (v, 0) for v in values]
+    return ([round(Fraction(r) * 2 ** shift) for r, _ in pairs],
+            [round(Fraction(i) * 2 ** shift) for _, i in pairs], shift)
+
+
 def test_round_coefficients_basic():
-    values = [mpf(1) + mpf(2) ** -40, mpf("81.99999999"), mpf("-996.00000001")]
-    poly, residual = round_coefficients(values)
+    values = [1 + Fraction(1, 2 ** 40), "81.99999999", "-996.00000001"]
+    poly, residual = round_coefficients(_scaled(values, 64))
     assert poly == IntPolynomial([1, 82, -996])
     assert mpf("0.9e-8") < residual < mpf("1.1e-8")
 
 
 def test_round_coefficients_failure_threshold():
-    values = [mpf("0.4"), mpf(1)]
+    coeffs = _scaled([Fraction(3, 8), 1], 8)
     with pytest.raises(RoundingFailureError) as info:
-        round_coefficients(values, fail_above=mpf("0.25"))
+        round_coefficients(coeffs, fail_above=mpf("0.25"))
     assert info.value.residual >= mpf("0.25")
-    poly, residual = round_coefficients(values)  # no threshold: best effort
+    poly, residual = round_coefficients(coeffs)  # no threshold: best effort
     assert poly == IntPolynomial([0, 1])
-    assert residual == mpf("0.4")
+    assert residual == mpf("0.375")
+
+
+def test_round_coefficients_rounds_halves_up():
+    """A residual of one half fails every threshold 2^-(bits/4), so the
+    direction of a tie never reaches a certified polynomial."""
+    poly, residual = round_coefficients(_scaled([Fraction(5, 2), Fraction(-1, 2)], 4))
+    assert poly == IntPolynomial([3, 0])
+    assert residual == mpf("0.5")
 
 
 def test_round_coefficients_counts_imaginary_leakage():
-    values = [mpc(3, "0.3"), mpf(1)]
-    _, residual = round_coefficients(values)
-    assert residual == mpf("0.3")
+    _, residual = round_coefficients(_scaled([(3, Fraction(77, 256)), 1], 8))
+    assert residual == mpf(77) / 256
 
 
 def test_round_coefficients_keeps_high_precision_payloads():
-    """A coefficient near 2^120 with a 2^-60 offset must survive the trip
-    through rounding even when the ambient precision is the default 53."""
-    with mp.workprec(320):
-        big = mpf(2) ** 120
-        values = [APComplex.from_mpc(mpc(big + mpf(2) ** -60), 320)]
-    poly, residual = round_coefficients(values)
+    """A coefficient near 2^120 with a 2^-60 offset survives rounding, and
+    its residual is exact, while the ambient precision is the default 53."""
+    poly, residual = round_coefficients(_scaled([2 ** 120 + Fraction(1, 2 ** 60)], 384))
     assert poly.coeffs[0] == 2 ** 120
-    with mp.workprec(320):
-        assert abs(residual - mpf(2) ** -60) < mpf(2) ** -90
+    assert residual == mpf(2) ** -60
+
+
+def test_round_coefficients_keeps_the_fraction_of_a_coefficient_wider_than_the_shift():
+    """One unit of 2^-shift under a 600-bit coefficient is its residual,
+    exactly: no rounding of the coefficient to shift bits drops it."""
+    shift = 384
+    big = 3 ** 378  # 600 bits
+    assert big.bit_length() == 600
+    poly, residual = round_coefficients(([(big << shift) + 1, -(big << shift)], [0, 0], shift))
+    assert poly.coeffs == (big, -big)
+    assert residual == mpf(2) ** -shift
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from classpoly.quadforms import (
 from _oracles import (
     CLASS_NUMBER_TABLE,
     brute_force_reduced_forms,
+    conductor_by_squarefreeness,
     random_form,
     random_sl2,
 )
@@ -292,6 +293,10 @@ def test_order_conductors():
         assert order.fundamental_discriminant == fund, disc
         assert order.conductor == f, disc
         assert fund * f * f == disc
+    for disc in range(-3, -5001, -1):
+        if disc % 4 in (0, 1):
+            order = CMOrder.from_discriminant(disc)
+            assert order.conductor == conductor_by_squarefreeness(disc), disc
 
 
 def test_order_generator_and_principal_form():
