@@ -10,13 +10,11 @@ from .conjugates import (
     CartanOrder,
     ClassFieldJob,
     ConjugateDatum,
-    ExtendedClassRep,
     RunResult,
     assemble_poly,
     build_extended_classes,
     cartan_order,
     compute_conjugates,
-    conjugate_matrix,
     run,
 )
 from .errors import (
@@ -29,7 +27,6 @@ from .errors import (
     RoundingFailureError,
 )
 from .modfunc import (
-    APComplex,
     DEFAULT_PRECISION,
     ModularFunctionSpec,
     PrecisionConfig,

@@ -3,17 +3,20 @@
 Subcommands: compute (the full pipeline), validate (identity checks at a
 point), table (class data only, no evaluation), catalog (known functions).
 Exit codes: 0 success, 2 invalid input, 3 precision exhausted, 4 internal
-cross-check failure.
+cross-check failure or a ValueError past the inputs.  Each command builds
+its inputs (job, coset table, point, precision) in one function, the only
+place where a ValueError means invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
 
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from .conjugates import (
     ClassFieldJob,
@@ -54,6 +57,11 @@ def _rows_json(rows):
     return [list(rows[0]), list(rows[1])]
 
 
+def _digits(x: mpf, bits: int) -> str:
+    """A value's part to the decimal digits its target bits carry."""
+    return mp.nstr(x, int(bits * 0.30103) + 3)
+
+
 def _input_json(job: ClassFieldJob):
     order = job.order
     return {
@@ -91,9 +99,9 @@ def _conjugates_json(result: RunResult):
         two_a = 2 * pt.a
         out.append(
             {
-                "i": d.rep.i,
-                "k": d.rep.k,
-                "form": list(d.rep.form.coefficients()),
+                "i": d.i,
+                "k": d.k,
+                "form": list(d.form.coefficients()),
                 "alpha_mod_level": _rows_json(d.alpha),
                 "lifted": _matrix_json(d.lifted),
                 "eval_point": {
@@ -102,9 +110,9 @@ def _conjugates_json(result: RunResult):
                     "radicand": pt.discriminant,
                 },
                 "value": {
-                    "re": d.value.re_str(),
-                    "im": d.value.im_str(),
-                    "precision_bits": d.value.precision_bits,
+                    "re": _digits(d.value.real, d.precision_bits),
+                    "im": _digits(d.value.imag, d.precision_bits),
+                    "precision_bits": d.precision_bits,
                 },
                 "identity_class": d.identity_class,
             }
@@ -142,9 +150,13 @@ def _emit_json(payload) -> None:
 # compute
 # ----------------------------------------------------------------------
 
-def _cmd_compute(args) -> int:
+def _compute_inputs(args):
     job = ClassFieldJob.create(args.disc, args.level, args.function, args.precision)
-    result = run(job, table=enumerate_cosets(args.level, args.tie_break))
+    return job, enumerate_cosets(args.level, args.tie_break)
+
+
+def _cmd_compute(args, job: ClassFieldJob, table) -> int:
+    result = run(job, table=table)
     if args.format == "json":
         payload = {
             "input": _input_json(job),
@@ -193,8 +205,9 @@ def _print_compute_text(result: RunResult, args) -> None:
         for d in result.data:
             tag = "  identity" if d.identity_class else ""
             w(
-                f"  (i={d.rep.i}, k={d.rep.k}) form {d.rep.form.coefficients()}"
-                f" lift {d.lifted} value {d.value}{tag}\n"
+                f"  (i={d.i}, k={d.k}) form {d.form.coefficients()} lift {d.lifted}"
+                f" value {_digits(d.value.real, d.precision_bits)}"
+                f" + {_digits(d.value.imag, d.precision_bits)}i{tag}\n"
             )
     if args.emit_table:
         w("coset table:\n")
@@ -217,14 +230,18 @@ def _parse_point(text: str) -> mpc:
         z = complex(cleaned)
     except ValueError as exc:
         raise ValueError(f"cannot parse point {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {text!r} has a non-finite part")
     if z.imag <= 0:
         raise ValueError("point must lie strictly above the real axis")
     return mpc(z)
 
 
-def _cmd_validate(args) -> int:
-    point = _parse_point(args.point)
-    cfg = PrecisionConfig(target_bits=args.precision)
+def _validate_inputs(args):
+    return _parse_point(args.point), PrecisionConfig(target_bits=args.precision)
+
+
+def _cmd_validate(args, point: mpc, cfg: PrecisionConfig) -> int:
     icosa = check_icosahedral(point, cfg)
     klein = check_klein_relation(point, cfg)
     threshold = mpf(2) ** (-(args.precision // 2))
@@ -282,10 +299,13 @@ def _text_cell(i, k, f, p) -> str:
     )
 
 
-def _cmd_table(args) -> int:
+def _table_inputs(args):
     order = CMOrder.from_discriminant(args.disc)
     reject_extra_units(order)
-    table = enumerate_cosets(args.level, args.tie_break)
+    return order, enumerate_cosets(args.level, args.tie_break)
+
+
+def _cmd_table(args, order: CMOrder, table) -> int:
     forms = reduced_forms(order.disc)
     cartan = cartan_order(order, args.level)
     cell = _json_cell if args.format == "json" else _text_cell
@@ -410,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--emit-conjugates", action="store_true")
     compute.add_argument("--emit-table", action="store_true")
     _add_tie_break_flag(compute)
-    compute.set_defaults(func=_cmd_compute)
+    compute.set_defaults(func=_cmd_compute, inputs=_compute_inputs)
 
     validate = subparsers.add_parser(
         "validate", help="check the defining identities at an arbitrary point"
@@ -418,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--point", required=True, help='e.g. "0.3+1.7i"')
     validate.add_argument("--precision", type=int, default=128)
     validate.add_argument("--format", choices=("text", "json"), default="text")
-    validate.set_defaults(func=_cmd_validate)
+    validate.set_defaults(func=_cmd_validate, inputs=_validate_inputs)
 
     table = subparsers.add_parser(
         "table", help="class data only: forms, cosets, filter grid"
@@ -427,11 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--level", type=int, required=True)
     table.add_argument("--format", choices=("text", "json"), default="text")
     _add_tie_break_flag(table)
-    table.set_defaults(func=_cmd_table)
+    table.set_defaults(func=_cmd_table, inputs=_table_inputs)
 
     catalog = subparsers.add_parser("catalog", help="list evaluable functions")
     catalog.add_argument("--format", choices=("text", "json"), default="text")
-    catalog.set_defaults(func=_cmd_catalog)
+    catalog.set_defaults(func=_cmd_catalog, inputs=lambda args: ())
 
     return parser
 
@@ -443,15 +463,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        inputs = args.inputs(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    try:
+        return args.func(args, *inputs)
     except (PrecisionExhaustedError, NonConvergenceError, RoundingFailureError) as exc:
         sys.stderr.write(f"precision exhausted: {exc}\n")
         return 3
     except (CrossCheckError, PowerCheckError, PoleError) as exc:
         sys.stderr.write(f"internal cross-check failed: {exc}\n")
+        return 4
+    except ValueError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
         return 4
 
 

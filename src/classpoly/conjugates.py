@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
 from .errors import (
@@ -26,7 +26,6 @@ from .errors import (
     RoundingFailureError,
 )
 from .modfunc import (
-    APComplex,
     DEFAULT_PRECISION,
     GUARD_BITS,
     ModularFunctionSpec,
@@ -45,17 +44,6 @@ from .quadforms import CMOrder, QuadraticForm, reduced_forms
 
 
 @dataclass(frozen=True)
-class ExtendedClassRep:
-    """One extended class: reduced form index i, coset index k, and the
-    transformed form itself (whose leading coefficient passed the filter)."""
-
-    i: int
-    k: int
-    gamma: UnimodularMatrix
-    form: QuadraticForm
-
-
-@dataclass(frozen=True)
 class CartanOrder:
     """Sizes of the unit-matrix group mod N attached to the order: all of it,
     its scalar +-1 part, and the quotient."""
@@ -67,19 +55,25 @@ class CartanOrder:
 
 @dataclass(frozen=True)
 class ConjugateDatum:
-    """Everything recorded for one class: the matrices, the base point (the
-    mirrored reduced form (a, -b, c), whose root is -conj of the reduced
-    form's root), and the function value at the root of
-    eval_point.transform(lifted.inverse()), the image of that point under
-    lifted = T^u * hat(gamma), an exact SL2(Z) matrix; alpha is lifted reduced
-    mod the level, with its bottom row times the inverse of form.a."""
+    """One extended class: reduced form i at coset k, with the coset rep
+    gamma and the transformed form (its leading coefficient passed the
+    filter); the exact twist lifted = T^u * hat(gamma) in SL2(Z) and alpha,
+    lifted mod the level with its bottom row times the inverse of form.a;
+    the base point, the mirrored reduced form (a, -b, c), whose root is
+    -conj of the reduced form's root; and, once evaluated, the function
+    value at the root of eval_point.transform(lifted.inverse()), the image
+    of that point under lifted, with the target bits it was computed for."""
 
-    rep: ExtendedClassRep
+    i: int
+    k: int
+    gamma: UnimodularMatrix
+    form: QuadraticForm
     alpha: tuple  # 2x2 rows mod level, determinant = inverse of form.a
     lifted: UnimodularMatrix
     eval_point: QuadraticForm
-    value: APComplex | None  # None until evaluated
     identity_class: bool
+    value: mpc | None = None  # at the working precision of precision_bits
+    precision_bits: int | None = None
 
 
 def reject_extra_units(order: CMOrder) -> None:
@@ -109,6 +103,11 @@ class ClassFieldJob:
             raise ValueError(
                 f"function level {self.function.level} must divide job level "
                 f"{self.level}"
+            )
+        if not self.function.has_rational_coefficients:
+            raise ValueError(
+                f"function {self.function.name!r} lacks rational Fourier "
+                "coefficients; the conjugate construction does not apply"
             )
 
     @classmethod
@@ -141,18 +140,51 @@ def walk_grid(forms: list, table: CosetTable, level: int):
             yield i, k, gamma, (a1, b1, c1), gcd(a1, level) == 1
 
 
+def _in_pm_gamma1(gamma: UnimodularMatrix, level: int) -> bool:
+    (r11, r12), (r21, r22) = gamma.mod(level)
+    if r21 != 0:
+        return False
+    one, minus_one = 1 % level, (level - 1) % level
+    return (r11 == one and r22 == one) or (r11 == minus_one and r22 == minus_one)
+
+
 def build_extended_classes(order: CMOrder, level: int,
                            table: CosetTable | None = None) -> list:
-    """The grid cells that pass the filter; these hit every extended class
-    exactly once."""
+    """One unevaluated ConjugateDatum per grid cell that passes the filter;
+    these hit every extended class exactly once.  The twist is built over Z
+    with u = -a^-1 (b + b0)/2 mod the level, (a, b) from the cell's form and
+    b0 = order.b.  Exactly one class, the principal form at a coset of
+    +-Gamma_1(level), is the identity class."""
     if table is None:
         table = enumerate_cosets(level)
-    return [
-        ExtendedClassRep(i=i, k=k, gamma=gamma, form=QuadraticForm(*coeffs))
-        for i, k, gamma, coeffs, passes
-        in walk_grid(reduced_forms(order.disc), table, level)
-        if passes
-    ]
+    forms = reduced_forms(order.disc)
+    mirrored = [QuadraticForm(f.a, -f.b, f.c) for f in forms]
+    principal = order.principal_form()
+    data = []
+    for i, k, gamma, (a, b, c), passes in walk_grid(forms, table, level):
+        if not passes:
+            continue
+        if (b + order.b) % 2:
+            raise CrossCheckError("form and order middle coefficients differ mod 2")
+        a_inv = pow(a, -1, level)
+        lifted = translation((-a_inv * ((b + order.b) // 2)) % level) @ gamma.hat()
+        top, bottom = lifted.mod(level)
+        data.append(ConjugateDatum(
+            i=i,
+            k=k,
+            gamma=gamma,
+            form=QuadraticForm(a, b, c),
+            alpha=(top, tuple(a_inv * x % level for x in bottom)),
+            lifted=lifted,
+            eval_point=mirrored[i],
+            identity_class=forms[i] == principal and _in_pm_gamma1(gamma, level),
+        ))
+    identity_hits = sum(d.identity_class for d in data)
+    if identity_hits != 1:
+        raise CrossCheckError(
+            f"expected exactly one identity class, found {identity_hits}"
+        )
+    return data
 
 
 def cartan_order(order: CMOrder, level: int) -> CartanOrder:
@@ -170,74 +202,14 @@ def cartan_order(order: CMOrder, level: int) -> CartanOrder:
     return CartanOrder(count, torsion, count // torsion)
 
 
-def _conjugate_rows(rep: ExtendedClassRep, order: CMOrder, level: int):
-    """The matrices of one class: alpha, the mod-level twisting matrix, and
-    lifted = T^u * hat(gamma) in SL2(Z) with u = -a^-1 (b + b0)/2 mod the
-    level; alpha is lifted reduced mod the level, bottom row times a^-1."""
-    a_ik, b_ik = rep.form.a, rep.form.b
-    if (b_ik + order.b) % 2:
-        raise CrossCheckError("form and order middle coefficients differ mod 2")
-    a_inv = pow(a_ik, -1, level)
-    u = (-a_inv * ((b_ik + order.b) // 2)) % level
-    lifted = translation(u) @ rep.gamma.hat()
-    top, (c, d) = lifted.mod(level)
-    return (top, ((a_inv * c) % level, (a_inv * d) % level)), lifted
-
-
-def conjugate_matrix(rep: ExtendedClassRep, order: CMOrder, level: int):
-    """The mod-level matrix that produces this class's conjugate value."""
-    alpha, _ = _conjugate_rows(rep, order, level)
-    return alpha
-
-
-def _in_pm_gamma1(gamma: UnimodularMatrix, level: int) -> bool:
-    (r11, r12), (r21, r22) = gamma.mod(level)
-    if r21 != 0:
-        return False
-    one, minus_one = 1 % level, (level - 1) % level
-    return (r11 == one and r22 == one) or (r11 == minus_one and r22 == minus_one)
-
-
-def _prepare_classes(order: CMOrder, level: int, table: CosetTable) -> list:
-    """One unevaluated ConjugateDatum per extended class."""
-    forms = reduced_forms(order.disc)
-    principal = order.principal_form()
-    prepared = []
-    for rep in build_extended_classes(order, level, table):
-        alpha, lifted = _conjugate_rows(rep, order, level)
-        q_form = forms[rep.i]
-        prepared.append(
-            ConjugateDatum(
-                rep=rep,
-                alpha=alpha,
-                lifted=lifted,
-                eval_point=QuadraticForm(q_form.a, -q_form.b, q_form.c),
-                value=None,
-                identity_class=(q_form == principal
-                                and _in_pm_gamma1(rep.gamma, level)),
-            )
-        )
-    identity_hits = sum(item.identity_class for item in prepared)
-    if identity_hits != 1:
-        raise CrossCheckError(
-            f"expected exactly one identity class, found {identity_hits}"
-        )
-    return prepared
-
-
 def _prepare(job: ClassFieldJob, table: CosetTable | None):
-    """The checks and class data shared by run() and compute_conjugates():
-    the coset table (built when None) and the unevaluated classes."""
-    if not job.function.has_rational_coefficients:
-        raise ValueError(
-            f"function {job.function.name!r} lacks rational Fourier "
-            "coefficients; the conjugate construction does not apply"
-        )
+    """The class data shared by run() and compute_conjugates(): the coset
+    table (built when None) and the unevaluated classes."""
     if table is None:
         table = enumerate_cosets(job.level)
     if table.level != job.level:
         raise ValueError("coset table level does not match the job")
-    return table, _prepare_classes(job.order, job.level, table)
+    return table, build_extended_classes(job.order, job.level, table)
 
 
 def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
@@ -248,12 +220,12 @@ def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
         argument = item.eval_point.transform(item.lifted.inverse())
         value = function.evaluate(argument, cfg)
         with mp.workprec(cfg.working_bits):
-            if abs(value.to_mpc()) > pole_threshold:
+            if abs(value) > pole_threshold:
                 raise PoleError(
                     f"value of magnitude above 2^{cfg.target_bits // 2} at "
-                    f"class (i={item.rep.i}, k={item.rep.k}); possible pole"
+                    f"class (i={item.i}, k={item.k}); possible pole"
                 )
-        data.append(replace(item, value=value))
+        data.append(replace(item, value=value, precision_bits=cfg.target_bits))
     return data
 
 
@@ -266,10 +238,10 @@ def compute_conjugates(job: ClassFieldJob,
     return _evaluate_classes(prepared, job.function, job.precision)
 
 
-def _identity_value(data: list) -> APComplex:
+def _identity_value(data: list) -> ConjugateDatum:
     for datum in data:
         if datum.identity_class:
-            return datum.value
+            return datum
     raise CrossCheckError("no identity class among the conjugate data")
 
 
@@ -283,13 +255,12 @@ def assemble_poly(data: list, job: ClassFieldJob):
     ((re, im, shift), used_reality_shortcut), with re and im the scaled
     integer parts of the coefficients, ascending.
     """
-    base_value = _identity_value(data)
-    bits = base_value.precision_bits
-    reality_threshold = mpf(2) ** (-(bits // 2))
-    is_real = base_value.is_real_within(reality_threshold)
+    base = _identity_value(data)
+    bits = base.precision_bits
+    is_real = abs(base.value.imag) < mpf(2) ** (-(bits // 2))
     shift = bits + GUARD_BITS
     half = 1 << (shift - 1)
-    roots = [(to_fixed(d.value.re._mpf_, shift), to_fixed(d.value.im._mpf_, shift))
+    roots = [(to_fixed(d.value.real._mpf_, shift), to_fixed(d.value.imag._mpf_, shift))
              for d in data]
     if not is_real:
         roots += [(a, -b) for a, b in roots]
@@ -346,7 +317,7 @@ def run(job: ClassFieldJob, table: CosetTable | None = None) -> RunResult:
         polynomial, residual = round_coefficients(coeffs, fail_above=threshold)
         irreducible = squarefree_part(polynomial)
         exponent = power_check(polynomial, irreducible)
-        base_value = _identity_value(data)
+        base_value = _identity_value(data).value
         with mp.workprec(cfg.working_bits):
             value_residual = abs(eval_poly(irreducible, base_value))
         if value_residual >= threshold:

@@ -3,9 +3,9 @@
 Every evaluator runs inside an mpmath working-precision context of
 target_bits + GUARD_BITS, takes its series only at a point reduced to the
 fundamental domain (a form exactly, by Gauss reduction), carries the value
-back by the function's transformation law, and returns an APComplex tagged
-with the certified target precision.  One kernel, _theta_ctx, sums the
-Jacobi triple product once, in fixed point: the level-5 value is
+back by the function's transformation law, and returns the mpc it computed
+there, its parts at the full working precision.  One kernel, _theta_ctx,
+sums the Jacobi triple product once, in fixed point: the level-5 value is
 q^(1/5) theta(q^5, q) / theta(q^5, q^2), j is Weber's (f^24 + 16)^3 / f^24
 with f^24 = 2^12 q (P(q^2)/P(q))^24 and P(q) = theta(q^3, q), and a Klein
 form at integer parameters a / n, moved into [0, n)^2 by its transformation
@@ -64,52 +64,6 @@ class PrecisionConfig:
 DEFAULT_PRECISION = PrecisionConfig()
 
 
-@dataclass(frozen=True)
-class APComplex:
-    """A complex value carrying the precision it was certified at."""
-
-    re: mpf
-    im: mpf
-    precision_bits: int
-
-    @classmethod
-    def from_mpc(cls, z, precision_bits: int) -> "APComplex":
-        if not isinstance(z, mpc):
-            z = mpc(z)  # rounds to the ambient precision; callers hold it
-        return cls(re=z.real, im=z.imag, precision_bits=precision_bits)
-
-    def to_mpc(self) -> mpc:
-        # raw construction: independent of the ambient precision
-        return mp.make_mpc((self.re._mpf_, self.im._mpf_))
-
-    def is_real_within(self, threshold) -> bool:
-        return abs(self.im) < threshold
-
-    def _dps(self) -> int:
-        return int(self.precision_bits * 0.30103) + 3
-
-    def re_str(self) -> str:
-        return mp.nstr(self.re, self._dps())
-
-    def im_str(self) -> str:
-        return mp.nstr(self.im, self._dps())
-
-    def __str__(self):
-        return f"{self.re_str()} + {self.im_str()}i"
-
-
-def _as_mpc(tau) -> mpc:
-    """Coerce a point to mpc at the current precision; must be in the upper
-    half-plane."""
-    if hasattr(tau, "to_mpc"):
-        z = tau.to_mpc()
-    else:
-        z = mpc(tau)
-    if not z.imag > 0:
-        raise ValueError(f"point {z} is not in the upper half-plane")
-    return z
-
-
 def _reduce_point(tau, level: int = 1):
     """(z, gamma) with z in the fundamental domain and level * tau = gamma z.
 
@@ -121,7 +75,7 @@ def _reduce_point(tau, level: int = 1):
         g = math.gcd(a, b, c)
         reduced, gamma = reduce_form(QuadraticForm(a // g, b // g, c // g))
         return reduced.to_mpc(), gamma
-    return fundamental_domain_reduce(_as_mpc(tau) * level)
+    return fundamental_domain_reduce(mpc(tau) * level)
 
 
 # ----------------------------------------------------------------------
@@ -302,19 +256,17 @@ def _klein_ctx(forms, z: mpc, gamma, n: int) -> mpc:
 # public evaluators
 # ----------------------------------------------------------------------
 
-def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
+def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
     """Level-5 continued-fraction value; reduces the point to the
     fundamental domain, a form exactly, and replays the matrix on the value."""
     with mp.workprec(cfg.working_bits):
-        value = _rr_ctx(tau)
-    return APComplex.from_mpc(value, cfg.target_bits)
+        return _rr_ctx(tau)
 
 
-def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
+def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
     """Klein j-function (1728 at i, 0 at the hexagonal point)."""
     with mp.workprec(cfg.working_bits):
-        value = _j_ctx(tau)
-    return APComplex.from_mpc(value, cfg.target_bits)
+        return _j_ctx(tau)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +307,7 @@ def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     """Relative difference between r(tau), replayed from its reduced point,
     and the klein-quotient:1/5,0|2/5,0 entry at tau, which moves its Klein
     parameters from the reduced point of 5 tau instead.  Returns an mpf."""
-    quotient = catalog_lookup("klein-quotient:1/5,0|2/5,0").evaluate(tau, cfg).to_mpc()
+    quotient = catalog_lookup("klein-quotient:1/5,0|2/5,0").evaluate(tau, cfg)
     with mp.workprec(cfg.working_bits):
         r_value = _rr_ctx(tau)
         residual = abs(r_value - quotient) / abs(r_value)
@@ -381,7 +333,7 @@ class ModularFunctionSpec:
     evaluator: Callable = field(compare=False)
     description: str = field(default="", compare=False)
 
-    def evaluate(self, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
+    def evaluate(self, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
         return self.evaluator(tau, cfg)
 
 
@@ -419,11 +371,10 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
     rational = p2 == 0 and q2 == 0 and level % 2 == 1
     forms = ((1, (int(p1 * level), int(p2 * level))), (-1, (int(q1 * level), int(q2 * level))))
 
-    def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> APComplex:
+    def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
         with mp.workprec(cfg.working_bits):
             w_star, gamma = _reduce_point(tau, level)
-            value = _klein_ctx(forms, w_star, gamma, level)
-        return APComplex.from_mpc(value, cfg.target_bits)
+            return _klein_ctx(forms, w_star, gamma, level)
 
     return ModularFunctionSpec(
         name=name,

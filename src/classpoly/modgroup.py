@@ -180,7 +180,7 @@ def fundamental_domain_reduce(tau):
     the working precision) are accepted on either side.
     """
     z = mpc(tau)
-    if z.imag <= 0:
+    if not z.imag > 0:  # refuses a NaN imaginary part too
         raise ValueError("point must lie in the upper half-plane")
     tol = mpf(2) ** (-(mp.prec // 2))
     gamma = IDENTITY

@@ -264,6 +264,4 @@ def power_check(p: IntPolynomial, g: IntPolynomial) -> int:
 
 def eval_poly(p: IntPolynomial, z) -> mpc:
     """Evaluate at an inexact point under the caller's working precision."""
-    if hasattr(z, "to_mpc"):
-        z = z.to_mpc()
     return p.evaluate(mpc(z))

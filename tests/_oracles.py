@@ -22,7 +22,7 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from classpoly.conjugates import _identity_value, cartan_order
-from classpoly.modfunc import APComplex, GUARD_BITS
+from classpoly.modfunc import GUARD_BITS
 from classpoly.modgroup import UnimodularMatrix, enumerate_cosets
 from classpoly.polyalgebra import IntPolynomial
 from classpoly.quadforms import CMOrder, reduced_forms
@@ -126,12 +126,12 @@ def theta_reference(q: mpc, x: mpc) -> mpc:
 def assemble_reference(data, job):
     """prod (x - value) by the schoolbook in mpc arithmetic at bits +
     GUARD_BITS, with the package's reality shortcut; returns (coefficients
-    ascending as APComplex, is_real) like conjugates.assemble_poly."""
-    base_value = _identity_value(data)
-    bits = base_value.precision_bits
-    is_real = base_value.is_real_within(mpf(2) ** (-(bits // 2)))
+    ascending as mpc, is_real) like conjugates.assemble_poly."""
+    base = _identity_value(data)
+    bits = base.precision_bits
+    is_real = abs(base.value.imag) < mpf(2) ** (-(bits // 2))
     with mp.workprec(bits + GUARD_BITS):
-        roots = [d.value.to_mpc() for d in data]
+        roots = [d.value for d in data]
         if not is_real:
             roots.extend(mp.conj(r) for r in roots[:])
         coeffs = [mpc(1)]
@@ -141,7 +141,7 @@ def assemble_reference(data, job):
                 nxt[idx + 1] += c
                 nxt[idx] -= root * c
             coeffs = nxt
-        return [APComplex.from_mpc(c, bits) for c in coeffs], is_real
+        return coeffs, is_real
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,17 @@ import hashlib
 import json
 
 import pytest
+from mpmath import mp, mpf
 
 import classpoly.cli as cli
-from classpoly.conjugates import CartanOrder, build_extended_classes
+from classpoly.conjugates import (
+    CartanOrder,
+    ClassFieldJob,
+    build_extended_classes,
+    compute_conjugates,
+)
 from classpoly.errors import CrossCheckError, PoleError, PrecisionExhaustedError
+from classpoly.polyalgebra import IntPolynomial, eval_poly
 from classpoly.quadforms import CMOrder
 
 from _oracles import render_table_reference
@@ -86,6 +93,39 @@ def test_compute_emit_conjugates(capsys):
     for c in conjugates:
         assert len(c["alpha_mod_level"]) == 2
         assert len(c["lifted"]) == 2
+
+
+def _significant_digits(text: str) -> int:
+    return len(text.lstrip("-").split("e")[0].replace(".", "").lstrip("0"))
+
+
+def test_conjugate_values_render_to_the_digits_of_their_bits(capsys):
+    """Each value part prints to int(bits * log10 2) + 3 = 99 significant
+    digits at 320 bits (fewer only where mpmath strips trailing zeros), and
+    parses back to the value compute_conjugates() gives; the text line of
+    the identity class prints the same digits."""
+    rc, out, _ = run_cli(capsys, *GOLDEN_ARGS, "--format", "json", "--emit-conjugates")
+    assert rc == 0
+    conjugates = json.loads(out)["conjugates"]
+    data = compute_conjugates(ClassFieldJob.create(-52, 5, "rogers-ramanujan", 320))
+    x = IntPolynomial([0, 1])
+    digits = []
+    with mp.workprec(640):
+        for c, d in zip(conjugates, data):
+            assert c["identity_class"] == d.identity_class
+            assert c["value"]["precision_bits"] == 320
+            want = eval_poly(x, d.value)  # the value as an mpc
+            for text, part in ((c["value"]["re"], want.real), (c["value"]["im"], want.imag)):
+                assert text == mp.nstr(part, 99)
+                assert abs(mpf(text) - part) < mpf(2) ** -300 * max(1, abs(want))
+                if part:
+                    digits.append(_significant_digits(text))
+    assert max(digits) == 99 and min(digits) >= 95
+    base = next(c["value"] for c in conjugates if c["identity_class"])
+    rc, out, _ = run_cli(capsys, *GOLDEN_ARGS, "--emit-conjugates")
+    assert rc == 0
+    identity_line = next(line for line in out.splitlines() if line.endswith("identity"))
+    assert identity_line.endswith(f" value {base['re']} + {base['im']}i  identity")
 
 
 def test_compute_emit_table(capsys):
@@ -309,6 +349,32 @@ def test_exit_code_for_invalid_inputs(capsys):
         rc, _, err = run_cli(capsys, *case)
         assert rc == 2, case
         assert err.startswith("error:"), case
+
+
+@pytest.mark.parametrize("args", [
+    ("validate", "--point", "0.3+1.7i", "--precision", "8"),
+    ("compute", "--disc", "-52", "--level", "5", "--function", "rogers-ramanujan",
+     "--precision", "8"),
+    ("validate", "--point", "nan+1i"),
+    ("validate", "--point", "1+nani"),
+    ("validate", "--point", "inf+1i"),
+])
+def test_exit_code_for_invalid_precision_and_non_finite_points(capsys, args):
+    rc, out, err = run_cli(capsys, *args)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_exit_code_for_a_value_error_inside_the_pipeline(capsys, monkeypatch):
+    """Only the inputs are user input: a ValueError raised past them is a
+    bug, not an invalid request."""
+    def boom(job, table=None):
+        raise ValueError("synthetic")
+
+    monkeypatch.setattr(cli, "run", boom)
+    rc, out, err = run_cli(capsys, *GOLDEN_ARGS)
+    assert rc == 4 and out == ""
+    assert err == "internal error: synthetic\n"
 
 
 def test_exit_code_for_parser_failures(capsys):

@@ -10,14 +10,10 @@ from mpmath import mp, mpc, mpf
 from classpoly.conjugates import (
     CartanOrder,
     ClassFieldJob,
-    ExtendedClassRep,
-    _conjugate_rows,
-    _prepare_classes,
     assemble_poly,
     build_extended_classes,
     cartan_order,
     compute_conjugates,
-    conjugate_matrix,
     run,
     walk_grid,
 )
@@ -31,7 +27,6 @@ from classpoly.errors import (
 )
 from classpoly import modfunc
 from classpoly.modfunc import (
-    APComplex,
     ModularFunctionSpec,
     PrecisionConfig,
     catalog_lookup,
@@ -127,7 +122,8 @@ def test_conjugate_matrix_of_the_identity_class():
     ]
     principal = [r for r in identity_reps if r.gamma.mod(5)[0][0] in (1, 4)]
     assert len(principal) == 1
-    assert conjugate_matrix(principal[0], order, 5) == ((1, 0), (0, 1))
+    assert [r for r in reps if r.identity_class] == principal
+    assert principal[0].alpha == ((1, 0), (0, 1))
 
 
 def test_conjugate_matrix_structure():
@@ -136,7 +132,7 @@ def test_conjugate_matrix_structure():
     for disc, level in ((-52, 5), (-23, 2), (-68, 5), (-7, 5)):
         order = CMOrder.from_discriminant(disc)
         for rep in build_extended_classes(order, level):
-            alpha = conjugate_matrix(rep, order, level)
+            alpha = rep.alpha
             a_inv = pow(rep.form.a, -1, level)
             u = (-a_inv * ((rep.form.b + order.b) // 2)) % level
             ghat = rep.gamma.hat()
@@ -155,10 +151,10 @@ def test_lifted_matrix_is_the_exact_twist(disc, level):
     u = -a^-1 (b + b0)/2 mod the level; mod the level it is alpha with the
     bottom row multiplied back by a."""
     order = CMOrder.from_discriminant(disc)
-    for d in _prepare_classes(order, level, enumerate_cosets(level)):
-        a, b = d.rep.form.a, d.rep.form.b
+    for d in build_extended_classes(order, level, enumerate_cosets(level)):
+        a, b = d.form.a, d.form.b
         u = (-pow(a, -1, level) * ((b + order.b) // 2)) % level
-        assert d.lifted == translation(u) @ d.rep.gamma.hat()
+        assert d.lifted == translation(u) @ d.gamma.hat()
         top, bottom = d.lifted.mod(level)
         assert top == d.alpha[0]
         assert bottom == ((a * d.alpha[1][0]) % level, (a * d.alpha[1][1]) % level)
@@ -185,7 +181,7 @@ def test_conjugate_data_shape(golden_conjugates):
     for d in data:
         lift_rows = d.lifted.mod(job.level)
         assert lift_rows[0] == d.alpha[0]
-        a = d.rep.form.a % job.level
+        a = d.form.a % job.level
         assert lift_rows[1] == (
             (a * d.alpha[1][0]) % job.level,
             (a * d.alpha[1][1]) % job.level,
@@ -198,7 +194,7 @@ def test_identity_class_value_is_the_frozen_special_value(golden_conjugates):
     # the mirrored principal form; for even D its root is the generator
     assert base.eval_point == job.order.principal_form()
     with mp.workprec(260):
-        v = base.value.to_mpc()
+        v = base.value
         assert abs(v.real - mpf(RR_AT_SQRT_MINUS_13)) < mpf("1e-44")
         assert abs(v.imag) < mpf(2) ** -180
 
@@ -210,25 +206,28 @@ def test_conjugate_values_match_a_float_route(golden_conjugates):
     for d in data[:8]:
         with mp.workprec(300):
             arg = mobius_apply(d.lifted, d.eval_point.to_mpc())
-        w = eval_rr(arg, CFG192).to_mpc()
+        w = eval_rr(arg, CFG192)
         with mp.workprec(260):
-            assert abs(d.value.to_mpc() - w) < mpf(2) ** -170
+            assert abs(d.value - w) < mpf(2) ** -170
 
 
 def test_conjugate_values_are_pairwise_distinct(golden_conjugates):
     _, data = golden_conjugates
-    values = [d.value.to_mpc() for d in data]
+    values = [d.value for d in data]
     with mp.workprec(260):
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
                 assert abs(values[i] - values[j]) > mpf(2) ** -50
 
 
-def _class_value(rep, order, level, fn):
-    _, lifted = _conjugate_rows(rep, order, level)
-    f = reduced_forms(order.disc)[rep.i]
+def _class_value(i, gamma, form, order, level, fn):
+    """The value of the class of reduced form i at the coset rep gamma, with
+    the transformed form; its twist T^u * hat(gamma) is rebuilt here."""
+    u = (-pow(form.a, -1, level) * ((form.b + order.b) // 2)) % level
+    lifted = translation(u) @ gamma.hat()
+    f = reduced_forms(order.disc)[i]
     point = QuadraticForm(f.a, -f.b, f.c).transform(lifted.inverse())
-    return fn.evaluate(point, CFG192).to_mpc()
+    return fn.evaluate(point, CFG192)
 
 
 def test_value_is_independent_of_the_coset_representative():
@@ -245,7 +244,7 @@ def test_value_is_independent_of_the_coset_representative():
         fn = catalog_lookup(name)
         reps = build_extended_classes(order, level)
         for rep in (reps[0], reps[7], reps[13]):
-            base = _class_value(rep, order, level, fn)
+            base = _class_value(rep.i, rep.gamma, rep.form, order, level, fn)
             for _ in range(4):
                 # a general subgroup element: principal-congruence part, a
                 # free upper-right translation, and possibly the global sign
@@ -253,13 +252,8 @@ def test_value_is_independent_of_the_coset_representative():
                 delta = delta @ translation(rng.randint(-6, 6))
                 if rng.random() < 0.5:
                     delta = delta @ minus_one
-                shifted = ExtendedClassRep(
-                    i=rep.i,
-                    k=rep.k,
-                    gamma=rep.gamma @ delta,
-                    form=rep.form.transform(delta),
-                )
-                value = _class_value(shifted, order, level, fn)
+                value = _class_value(rep.i, rep.gamma @ delta,
+                                     rep.form.transform(delta), order, level, fn)
                 with mp.workprec(260):
                     gap = abs(value - base)
                     assert gap < mpf(2) ** -170 * max(1, abs(base)), (name, rep)
@@ -292,7 +286,7 @@ def test_cells_with_one_orbit_key_share_their_value(disc, level, function, bits,
     job = ClassFieldJob.create(disc, level, function, bits)
     groups = {}
     for d in compute_conjugates(job):
-        groups.setdefault(_orbit_key(d, job.function.level), []).append(d.value.to_mpc())
+        groups.setdefault(_orbit_key(d, job.function.level), []).append(d.value)
     assert len(groups) == keys
     assert {len(values) for values in groups.values()} == {multiplicity}
     with mp.workprec(2 * bits):
@@ -330,9 +324,9 @@ def test_fixed_point_assembly_matches_the_mpc_schoolbook(disc, level, function, 
     with mp.workprec(2 * bits):
         for cr, ci, theirs in zip(re, im, ref):
             ours = mpc(mp.ldexp(cr, -shift), mp.ldexp(ci, -shift))
-            gap = abs(ours - theirs.to_mpc())
-            assert gap < mpf(2) ** -bits * max(1, abs(theirs.to_mpc()))
-        assert mp.mag(max(abs(c.to_mpc()) for c in ref)) == coeff_bits
+            gap = abs(ours - theirs)
+            assert gap < mpf(2) ** -bits * max(1, abs(theirs))
+        assert mp.mag(max(abs(c) for c in ref)) == coeff_bits
 
 
 # ----------------------------------------------------------------------
@@ -496,9 +490,8 @@ def test_job_validation():
 
 
 def test_run_rejects_non_rational_functions():
-    job = ClassFieldJob.create(-52, 5, "klein-quotient:1/5,1/5|2/5,0")
-    with pytest.raises(ValueError):
-        run(job)
+    with pytest.raises(ValueError, match="lacks rational Fourier coefficients"):
+        ClassFieldJob.create(-52, 5, "klein-quotient:1/5,1/5|2/5,0")
 
 
 @pytest.mark.parametrize("table_level", [1, 7])
@@ -520,7 +513,7 @@ def test_run_rejects_mismatched_table():
 def _constant_spec(value) -> ModularFunctionSpec:
     def evaluate(tau, cfg):
         with mp.workprec(cfg.working_bits):
-            return APComplex.from_mpc(mpc(value), cfg.target_bits)
+            return mpc(value)
 
     return ModularFunctionSpec(
         name="synthetic-constant",

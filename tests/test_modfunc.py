@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from classpoly import modfunc
 from classpoly.errors import NonConvergenceError
 from classpoly.modfunc import (
-    APComplex,
     DEFAULT_PRECISION,
     GUARD_BITS,
     PrecisionConfig,
@@ -73,23 +73,6 @@ def test_precision_escalation_grows_bits():
     assert cfg.working_bits == 100 + GUARD_BITS
 
 
-def test_apcomplex_transport_is_lossless():
-    with mp.workprec(300):
-        z = mp.sqrt(mpc(2, 3))  # full 300-bit mantissas
-        boxed = APComplex.from_mpc(z, 300)
-    # reading back at the default 53-bit ambient must not round
-    recovered = boxed.to_mpc()
-    assert recovered.real._mpf_ == z.real._mpf_
-    assert recovered.imag._mpf_ == z.imag._mpf_
-
-
-def test_apcomplex_real_test_and_strings():
-    v = APComplex.from_mpc(mpc("1.5", "1e-30"), 128)
-    assert v.is_real_within(mpf("1e-20"))
-    assert not v.is_real_within(mpf("1e-40"))
-    assert "1.5" in str(v)
-
-
 # ----------------------------------------------------------------------
 # the level-5 function
 # ----------------------------------------------------------------------
@@ -97,7 +80,7 @@ def test_apcomplex_real_test_and_strings():
 def test_rr_matches_continued_fraction():
     for tau in SAMPLE_POINTS:
         for cfg in (CFG128, CFG256):
-            ours = eval_rr(tau, cfg).to_mpc()
+            ours = eval_rr(tau, cfg)
             ref = rr_continued_fraction(tau, cfg.target_bits + 40)
             with mp.workprec(cfg.working_bits):
                 assert abs(ours - ref) < mpf(2) ** (-cfg.target_bits + 6)
@@ -106,13 +89,13 @@ def test_rr_matches_continued_fraction():
 def test_rr_special_values():
     with mp.workprec(360):
         # the classical value at i
-        v = eval_rr(mpc(0, 1), CFG256).to_mpc()
+        v = eval_rr(mpc(0, 1), CFG256)
         phi = (1 + mp.sqrt(5)) / 2
         closed = mp.sqrt(phi * mp.sqrt(5)) - phi
         assert abs(v - closed) < mpf(2) ** -250
         # frozen high-precision value on the imaginary axis; the string must
         # be parsed at high precision or the comparison itself truncates
-        w = eval_rr(mpc(0, mp.sqrt(13)), CFG256).to_mpc()
+        w = eval_rr(mpc(0, mp.sqrt(13)), CFG256)
         assert abs(w.real - mpf(RR_AT_SQRT_MINUS_13)) < mpf("1e-44")
         assert abs(w.imag) < mpf(2) ** -250
 
@@ -121,9 +104,9 @@ def test_rr_translation_rule():
     with mp.workprec(256):
         zeta = mp.expjpi(mpf(2) / 5)
         for tau in SAMPLE_POINTS[:3]:
-            v = eval_rr(tau, CFG192).to_mpc()
-            v1 = eval_rr(tau + 1, CFG192).to_mpc()
-            v5 = eval_rr(tau + 5, CFG192).to_mpc()
+            v = eval_rr(tau, CFG192)
+            v1 = eval_rr(tau + 1, CFG192)
+            v5 = eval_rr(tau + 5, CFG192)
             assert abs(v1 - zeta * v) < mpf(2) ** -180
             assert abs(v5 - v) < mpf(2) ** -180
 
@@ -143,8 +126,8 @@ def test_rr_inversion_rule_from_catalog():
     spec = catalog_lookup("rogers-ramanujan")
     with mp.workprec(256):
         for tau in SAMPLE_POINTS[:3]:
-            v = spec.evaluate(tau, CFG192).to_mpc()
-            w = spec.evaluate(-1 / tau, CFG192).to_mpc()
+            v = spec.evaluate(tau, CFG192)
+            w = spec.evaluate(-1 / tau, CFG192)
             assert abs(w - _rr_s_rule(v)) < mpf(2) ** -175
             # the rule is an involution
             assert abs(_rr_s_rule(_rr_s_rule(v)) - v) < mpf(2) ** -175
@@ -167,7 +150,7 @@ def test_rr_replay_agrees_with_direct_product_near_real_axis():
     """Points with tiny imaginary part force the reduce-and-replay path;
     the continued fraction at tau itself, long there, is the cross-route."""
     for tau in (mpc("0.37", "0.01"), mpc("-1.28", "0.004"), mpc("0.5", "0.002")):
-        via_replay = eval_rr(tau, CFG128).to_mpc()
+        via_replay = eval_rr(tau, CFG128)
         direct = rr_continued_fraction(tau, 168)
         with mp.workprec(220):
             assert abs(via_replay - direct) < mpf(2) ** -100
@@ -178,8 +161,8 @@ def test_rr_replay_keeps_its_precision_where_the_reduced_value_is_tiny():
     and r there is tiny; a first S step would keep only its absolute bits.
     The 128-bit value must be good to 128 bits against a 2048-bit one."""
     tau = mpc("0.3", "1e-4")
-    ours = eval_rr(tau, CFG128).to_mpc()
-    ref = eval_rr(tau, PrecisionConfig(target_bits=2048)).to_mpc()
+    ours = eval_rr(tau, CFG128)
+    ref = eval_rr(tau, PrecisionConfig(target_bits=2048))
     with mp.workprec(2200):
         assert abs(ours - ref) / abs(ref) < mpf(2) ** -128
 
@@ -194,7 +177,7 @@ def test_rr_replay_returns_a_tiny_value_moved_by_a_translation():
     with mp.workprec(300):
         root = form.to_mpc()
     for tau, point in ((high, high), (form, root)):
-        got = eval_rr(tau, CFG128).to_mpc()
+        got = eval_rr(tau, CFG128)
         want = rr_continued_fraction(point, 168)
         with mp.workprec(200):
             assert mp.mag(got) < -360
@@ -224,11 +207,11 @@ def test_rr_replay_near_cusps_is_right_or_refused():
         with mp.workprec(53):
             tau = mpc(x, 10 ** rng.uniform(-7, -3))
         try:
-            got = eval_rr(tau, CFG128).to_mpc()
+            got = eval_rr(tau, CFG128)
         except NonConvergenceError:
             refused += 1
             continue
-        want = spec.evaluate(tau, PrecisionConfig(target_bits=1024)).to_mpc()
+        want = spec.evaluate(tau, PrecisionConfig(target_bits=1024))
         with mp.workprec(1100):
             assert abs(got - want) / abs(want) < mpf(2) ** -120, tau
     assert refused
@@ -252,7 +235,7 @@ def test_replay_value_is_r_at_the_moved_point():
         r_z = rr_continued_fraction(z, cfg.working_bits)
         for gamma in gammas:
             got = _replay_value(gamma, r_z)
-            want = spec.evaluate(mobius_apply(gamma, z), cfg).to_mpc()
+            want = spec.evaluate(mobius_apply(gamma, z), cfg)
             assert abs(got - want) < mpf(2) ** -100 * max(1, abs(want)), gamma
 
 
@@ -260,11 +243,11 @@ def test_rr_principal_congruence_invariance_sample():
     rng = random.Random(31)
     with mp.workprec(256):
         tau = mpc("0.23", "1.12")
-        v = eval_rr(tau, CFG192).to_mpc()
+        v = eval_rr(tau, CFG192)
         for _ in range(5):
             g = random_principal_congruence(rng, 5)
             moved = (g.a * tau + g.b) / (g.c * tau + g.d)
-            w = eval_rr(moved, CFG192).to_mpc()
+            w = eval_rr(moved, CFG192)
             assert abs(w - v) < mpf(2) ** -160
 
 
@@ -317,7 +300,7 @@ def test_eta_24th_power_inversion():
 
 def test_j_matches_mpmath_reference():
     for tau in SAMPLE_POINTS:
-        ours = eval_j(tau, CFG192).to_mpc()
+        ours = eval_j(tau, CFG192)
         ref = j_reference(tau, 232)
         with mp.workprec(260):
             assert abs(ours - ref) / abs(ref) < mpf(2) ** -180
@@ -332,9 +315,9 @@ def test_j_classical_anchors():
             (mpc(mpf(-1) / 2, mp.sqrt(11) / 2), -32768),
         ]
         for tau, want in cases:
-            got = eval_j(tau, CFG256).to_mpc()
+            got = eval_j(tau, CFG256)
             assert abs(got - want) < mpf(2) ** -240
-        corner = eval_j(mpc(mpf(-1) / 2, mp.sqrt(3) / 2), CFG256).to_mpc()
+        corner = eval_j(mpc(mpf(-1) / 2, mp.sqrt(3) / 2), CFG256)
         assert abs(corner) < mpf(2) ** -240
 
 
@@ -349,7 +332,7 @@ def test_j_at_high_precision_where_q_is_largest(bits, where):
         else:
             tau = mpc(mpf(-1) / 2, mp.sqrt(3) / 2) + mpc(1, 1) * mpf(2) ** -20
     cfg = PrecisionConfig(target_bits=bits)
-    ours = eval_j(tau, cfg).to_mpc()
+    ours = eval_j(tau, cfg)
     ref = j_reference(tau, bits + 40)
     with mp.workprec(bits + 80):
         assert abs(ours - ref) / abs(ref) < mpf(2) ** -(bits - 12)
@@ -359,11 +342,11 @@ def test_j_full_modular_invariance_sample():
     rng = random.Random(32)
     with mp.workprec(256):
         tau = mpc("0.375", "0.88")
-        v = eval_j(tau, CFG192).to_mpc()
+        v = eval_j(tau, CFG192)
         for _ in range(5):
             g = random_sl2(rng, 9)
             moved = (g.a * tau + g.b) / (g.c * tau + g.d)
-            w = eval_j(moved, CFG192).to_mpc()
+            w = eval_j(moved, CFG192)
             assert abs(w - v) / abs(v) < mpf(2) ** -165
 
 
@@ -400,7 +383,7 @@ def test_klein_matches_theta_reference():
         for w in SAMPLE_POINTS[:3]:
             with mp.workprec(53):
                 tau = w / spec.level
-            ours = spec.evaluate(tau, CFG192).to_mpc()
+            ours = spec.evaluate(tau, CFG192)
             with mp.workprec(300):
                 w_exact = spec.level * tau
                 ref = (klein_theta_reference(*top, w_exact, 232)
@@ -416,7 +399,7 @@ def test_klein_quasi_periodicity():
     bottom = (Fraction(2, 5), Fraction(0))
     with mp.workprec(300):
         for r1, r2 in [(Fraction(1, 5), Fraction(0)), (Fraction(-2, 5), Fraction(3, 5))]:
-            base = _klein_spec((r1, r2), bottom).evaluate(tau, CFG192).to_mpc()
+            base = _klein_spec((r1, r2), bottom).evaluate(tau, CFG192)
             laws = {
                 (0, 1): -mp.expjpi(_rational(r1)),
                 (1, 0): -mp.expjpi(-_rational(r2)),
@@ -424,7 +407,7 @@ def test_klein_quasi_periodicity():
             }
             for (b1, b2), law in laws.items():
                 spec = _klein_spec((r1 + b1, r2 + b2), bottom)
-                shifted = spec.evaluate(tau, CFG192).to_mpc()
+                shifted = spec.evaluate(tau, CFG192)
                 assert abs(shifted / base - law) < mpf(2) ** -170, (r1 + b1, r2 + b2)
 
 
@@ -504,6 +487,21 @@ def test_icosahedral_check_fails_on_a_perturbed_value(bits):
             assert _icosahedral_residual(perturbed, jv) >= threshold, tau
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_klein_check_fails_on_a_perturbed_value_at_i(monkeypatch, bits):
+    """At tau = i, j = 1728 is a critical value of the degree-60 map x -> j,
+    so the icosahedral check sees an error in r only to second order: an r
+    off by a relative 2^-(bits/4)/3 barely fails it.  The Klein check
+    compares r with the Klein quotient directly and fails by far."""
+    cfg = PrecisionConfig(target_bits=bits)
+    threshold = mpf(2) ** -(bits // 2)
+    assert check_klein_relation(mpc(0, 1), cfg) < threshold
+    exact = modfunc._rr_ctx
+    monkeypatch.setattr(modfunc, "_rr_ctx",
+                        lambda tau: exact(tau) * (1 + mpf(2) ** -(bits // 4) / 3))
+    assert check_klein_relation(mpc(0, 1), cfg) > 2 ** 20 * threshold
+
+
 # ----------------------------------------------------------------------
 # catalog
 # ----------------------------------------------------------------------
@@ -557,13 +555,13 @@ def test_klein_parameter_validation():
 def test_klein_quotient_evaluator_is_the_scaled_ratio():
     spec = catalog_lookup("klein-quotient:1/5,0|2/5,0")
     tau = mpc("0.11", "0.93")
-    got = spec.evaluate(tau, CFG192).to_mpc()
+    got = spec.evaluate(tau, CFG192)
     with mp.workprec(300):
         k1 = klein_theta_reference(Fraction(1, 5), Fraction(0), 5 * tau, 232)
         k2 = klein_theta_reference(Fraction(2, 5), Fraction(0), 5 * tau, 232)
         assert abs(got - k1 / k2) < mpf(2) ** -180
         # and that ratio is the level-5 continued-fraction value
-        assert abs(got - eval_rr(tau, CFG192).to_mpc()) < mpf(2) ** -170
+        assert abs(got - eval_rr(tau, CFG192)) < mpf(2) ** -170
 
 
 # Values of N*tau near the real line, where the q-series at N*tau are long.
@@ -597,7 +595,7 @@ def test_reduced_klein_quotient_matches_the_raw_products(name, level):
             tau = w / level
         with mp.workprec(300):
             w_exact = level * tau
-        got = spec.evaluate(tau, CFG192).to_mpc()
+        got = spec.evaluate(tau, CFG192)
         with mp.workprec(300):
             want = (klein_theta_reference(*top, w_exact, 232)
                     / klein_theta_reference(*bottom, w_exact, 232))
@@ -610,10 +608,10 @@ def test_reduced_klein_quotient_converges_where_the_raw_product_cannot():
     spec = catalog_lookup("klein-quotient:1/5,0|2/5,0")
     with mp.workprec(53):
         tau = mpc("0.3141592653", "1e-10") / 5
-    got = spec.evaluate(tau, CFG128).to_mpc()
+    got = spec.evaluate(tau, CFG128)
     # the continued-fraction value, reduced by its own S/T rules
     with mp.workprec(220):
-        assert abs(got - eval_rr(tau, CFG128).to_mpc()) < mpf(2) ** -100
+        assert abs(got - eval_rr(tau, CFG128)) < mpf(2) ** -100
 
 
 @pytest.mark.parametrize("name", ["j", "rogers-ramanujan", "klein-quotient:1/7,0|2/7,0"])
@@ -624,18 +622,18 @@ def test_exact_reduction_agrees_with_the_numeric_loop(name):
     rng = random.Random(43)
     for form in reduced_forms(-84):
         scrambled = form.transform(random_sl2(rng, 9))
-        exact = spec.evaluate(scrambled, CFG192).to_mpc()
+        exact = spec.evaluate(scrambled, CFG192)
         with mp.workprec(CFG192.working_bits):
-            numeric = spec.evaluate(scrambled.to_mpc(), CFG192).to_mpc()
+            numeric = spec.evaluate(scrambled.to_mpc(), CFG192)
             assert abs(exact - numeric) < mpf(2) ** -150 * max(1, abs(exact))
 
 
 def test_same_value_across_precisions():
     tau = mpc("0.27", "1.33")
     with mp.workprec(320):
-        lo = eval_rr(tau, CFG128).to_mpc()
-        hi = eval_rr(tau, CFG256).to_mpc()
+        lo = eval_rr(tau, CFG128)
+        hi = eval_rr(tau, CFG256)
         assert abs(lo - hi) < mpf(2) ** -120
-        lo_j = eval_j(tau, CFG128).to_mpc()
-        hi_j = eval_j(tau, CFG256).to_mpc()
+        lo_j = eval_j(tau, CFG128)
+        hi_j = eval_j(tau, CFG256)
         assert abs(lo_j - hi_j) / abs(hi_j) < mpf(2) ** -120

@@ -10,7 +10,6 @@ from mpmath import mp, mpc, mpf
 
 from classpoly import polyalgebra
 from classpoly.errors import PowerCheckError, RoundingFailureError
-from classpoly.modfunc import APComplex
 from classpoly.polyalgebra import (
     IntPolynomial,
     eval_poly,
@@ -319,8 +318,11 @@ def test_power_check():
 
 
 def test_eval_poly_accepts_wrapped_values():
+    """An evaluator's value is a plain mpc that keeps its full mantissa
+    outside its working precision; eval_poly takes it as it is."""
     p = P(1, 0, -2)
     with mp.workprec(200):
-        root = APComplex.from_mpc(mpc(mp.sqrt(2)), 200)
+        root = mpc(mp.sqrt(2))
+    with mp.workprec(200):
         assert abs(eval_poly(p, root)) < mpf(2) ** -190
         assert abs(eval_poly(p, mpc(2)) - 2) < mpf(2) ** -190
