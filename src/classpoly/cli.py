@@ -78,10 +78,9 @@ def _input_json(job: ClassFieldJob):
 
 
 def _class_data_json(result: RunResult):
-    forms = reduced_forms(result.job.order.disc)
     return {
-        "reduced_forms": [list(f.coefficients()) for f in forms],
-        "coset_count": result.coset_count,
+        "reduced_forms": [list(f.coefficients()) for f in result.forms],
+        "coset_count": result.table.size(),
         "tie_break": result.table.tie_break,
         "class_count": result.class_count,
         "unit_group": {
@@ -188,13 +187,12 @@ def _print_compute_text(result: RunResult, args) -> None:
         f"order             conductor {order.conductor}, fundamental "
         f"discriminant {order.fundamental_discriminant}\n"
     )
-    forms = reduced_forms(order.disc)
-    w(f"reduced forms ({len(forms)}):\n")
-    for i, f in enumerate(forms):
+    w(f"reduced forms ({len(result.forms)}):\n")
+    for i, f in enumerate(result.forms):
         w(f"  i={i}: {f}\n")
-    w(f"coset reps        {result.coset_count} (tie-break {result.table.tie_break})\n")
+    w(f"coset reps        {result.table.size()} (tie-break {result.table.tie_break})\n")
     w(
-        f"extended classes  {result.class_count} = {result.reduced_form_count}"
+        f"extended classes  {result.class_count} = {len(result.forms)}"
         f" x {result.cartan.quotient}"
         f"   (unit group {result.cartan.matrix_count}"
         f" / {result.cartan.torsion_count})\n"

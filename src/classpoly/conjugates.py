@@ -282,8 +282,7 @@ class RunResult:
 
     job: ClassFieldJob
     table: CosetTable
-    reduced_form_count: int
-    coset_count: int
+    forms: list  # the reduced forms, row i of the grid
     class_count: int
     cartan: CartanOrder
     data: list
@@ -325,8 +324,7 @@ def run(job: ClassFieldJob, table: CosetTable | None = None) -> RunResult:
         return RunResult(
             job=job,
             table=table,
-            reduced_form_count=len(forms),
-            coset_count=table.size(),
+            forms=forms,
             class_count=len(prepared),
             cartan=cartan,
             data=data,

@@ -9,7 +9,7 @@ undoes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from mpmath import mp, mpc, mpf
@@ -120,35 +120,26 @@ def lift_vector_to_sl2(a: int, c: int, n: int) -> UnimodularMatrix:
     return UnimodularMatrix(ap, (ap * u - 1) // cp, cp, u)
 
 
-def _coset_class_keys(n: int, tie_break: str):
-    seen = set()
-    for a in range(n):
-        for c in range(n):
-            if gcd(gcd(a, c), n) != 1:
-                continue
-            seen.add(normalize_vector(a, c, n, tie_break))
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
 class CosetTable:
     """Representatives of the cosets of +-Gamma_1(N) in SL2(Z).
 
     Cosets correspond to primitive columns (a, c) mod N up to global sign;
-    reps[k] is an SL2(Z) lift of the k-th class and key_of maps a normalized
-    column to its index.
+    reps[k] is an SL2(Z) lift of the k-th class, the classes ordered by
+    their normalized columns, and its first column mod N is that column.
     """
 
     level: int
     reps: tuple
-    key_of: dict = field(compare=False)
     tie_break: str = "min"
 
     def size(self) -> int:
         return len(self.reps)
 
     def index_of_column(self, a: int, c: int) -> int:
-        return self.key_of[normalize_vector(a, c, self.level, self.tie_break)]
+        key = normalize_vector(a, c, self.level, self.tie_break)
+        n = self.level
+        return next(k for k, g in enumerate(self.reps) if (g.a % n, g.c % n) == key)
 
     def to_json_dict(self):
         return {
@@ -159,13 +150,15 @@ class CosetTable:
 
 
 def enumerate_cosets(n: int, tie_break: str = "min") -> CosetTable:
-    """Build the full coset table for level n."""
+    """Build the full coset table for level n.  One scan of the columns
+    (a, c) mod n in lexicographic order keeps each primitive column that is
+    its own normalize_vector; so each class is met once, in sorted order."""
     if n < 1:
         raise ValueError("level must be positive")
-    keys = _coset_class_keys(n, tie_break)
-    reps = tuple(lift_vector_to_sl2(a, c, n) for (a, c) in keys)
-    key_of = {key: k for k, key in enumerate(keys)}
-    return CosetTable(level=n, reps=reps, key_of=key_of, tie_break=tie_break)
+    reps = tuple(lift_vector_to_sl2(a, c, n) for a in range(n) for c in range(n)
+                 if gcd(gcd(a, c), n) == 1
+                 and normalize_vector(a, c, n, tie_break) == (a, c))
+    return CosetTable(level=n, reps=reps, tie_break=tie_break)
 
 
 # ----------------------------------------------------------------------

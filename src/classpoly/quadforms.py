@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from mpmath import mp, mpc, mpf
 
-from .modgroup import IDENTITY, S, UnimodularMatrix, translation
+from .modgroup import UnimodularMatrix
 
 
 def _validate_discriminant(d: int) -> None:
@@ -81,31 +81,24 @@ class QuadraticForm:
 def reduce_form(form: QuadraticForm):
     """Gauss reduction.  Returns (reduced, gamma) with form.transform(gamma)
     equal to reduced; gamma is the exact witness in SL2(Z), and the form's
-    root is gamma applied to the reduced root."""
-    current = form
-    gamma = IDENTITY
-    for _ in range(10 ** 6):
-        # translate b into (-a, a]
-        s = (current.a - current.b) // (2 * current.a)
-        if s:
-            t = translation(s)
-            current = current.transform(t)
-            gamma = gamma @ t
-        if current.a > current.c:
-            current = current.transform(S)
-            gamma = gamma @ S
-            continue
-        if current.a == current.c and current.b < 0:
-            current = current.transform(S)
-            gamma = gamma @ S
-        assert current.is_reduced()
-        return current, gamma
-    raise ValueError("reduction did not terminate")
+    root is gamma applied to the reduced root.  The steps act on plain ints:
+    T^k sends (a, b, c) to (a, b + 2ak, ak^2 + bk + c), S sends it to
+    (c, -b, a); every S step but a last one at a = c lowers a."""
+    a, b, c = form.a, form.b, form.c
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        k = (a - b) // (2 * a)  # translate b into (-a, a]
+        b, c = b + 2 * a * k, (a * k + b) * k + c
+        q, s = p * k + q, r * k + s
+        if a < c or (a == c and b >= 0):
+            return QuadraticForm(a, b, c), UnimodularMatrix(p, q, r, s)
+        a, b, c = c, -b, a
+        p, q, r, s = q, -p, s, -r
 
 
 def reduced_forms(discriminant: int) -> list:
     """All reduced primitive positive definite forms of the discriminant,
-    sorted lexicographically by (a, b, c)."""
+    in lexicographic (a, b, c) order, the order the loops emit them in."""
     _validate_discriminant(discriminant)
     out = []
     a_max = isqrt(-discriminant // 3)
@@ -121,7 +114,7 @@ def reduced_forms(discriminant: int) -> list:
             if gcd(gcd(a, b), c) != 1:
                 continue
             out.append(QuadraticForm(a, b, c))
-    return sorted(out, key=lambda f: f.coefficients())
+    return out
 
 
 def class_number(discriminant: int) -> int:

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import random
+import re
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -76,6 +79,32 @@ def test_compute_text_output(capsys):
     assert "x^24 + 82*x^23" in out
     assert "extended classes  24 = 2 x 12" in out
     assert "reality shortcut  yes" in out
+
+
+def _readme_example():
+    """The headline command of README.md and the lines of the text block
+    printed under it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    command = "classpoly " + " ".join(GOLDEN_ARGS)
+    after = readme.split(command + "\n```\n", 1)[1]
+    block = after.split("```\n", 1)[1].split("```\n", 1)[0]
+    return command, block.splitlines()
+
+
+def test_readme_example_matches_the_compute_output(capsys):
+    """Every line of the README block appears in the output; a line with
+    `...` matches by its part before the `...`."""
+    command, lines = _readme_example()
+    rc, out, _ = run_cli(capsys, *command.split()[1:])
+    assert rc == 0
+    assert len(lines) == 16
+    printed = out.splitlines()
+    for line in lines:
+        if "..." in line:
+            head = line.split("...")[0]
+            assert any(p.startswith(head) for p in printed), line
+        else:
+            assert line in printed, line
 
 
 def test_compute_emit_conjugates(capsys):
@@ -382,6 +411,47 @@ def test_exit_code_for_parser_failures(capsys):
     capsys.readouterr()
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def _discriminant_draw(lowest: int, count: int) -> list:
+    draw = random.Random(11).sample(
+        [d for d in range(-7, lowest - 1, -1) if d % 4 in (0, 1)], count)
+    return sorted(draw, reverse=True)
+
+
+# The plain j-invariant at level 1 trips the pole guard on these finite
+# values (ROADMAP item 2); the marks go when that item lands.
+_J_POLE_ERRORS = {
+    -2847, -2684, -2668, -2604, -2584, -2559, -2527, -2520, -2444, -2411, -2299,
+    -2212, -2103, -2087, -1955, -1912, -1860, -1859, -1856, -1835, -1628, -1248,
+}
+_SMALL_DRAW = _discriminant_draw(-400, 12)
+# Prefixes of the draw for the slower sweeps keep the test within seconds;
+# (-783, 1, j) exits 3 on the value certificate.
+_CONTRACT_CASES = (
+    [(d, 5, "rogers-ramanujan") for d in _SMALL_DRAW[:8]]
+    + [(d, 10, "rogers-ramanujan") for d in _SMALL_DRAW[:4]]
+    + [(d, 7, "klein-quotient:1/7,0|2/7,0") for d in _SMALL_DRAW[:3]]
+    + [(d, 5, "j") for d in _SMALL_DRAW[:3]]
+    + [pytest.param(d, 1, "j", marks=pytest.mark.xfail(
+           strict=True, reason="ROADMAP item 2: PoleError on finite values"))
+       if d in _J_POLE_ERRORS else (d, 1, "j")
+       for d in _discriminant_draw(-3000, 30)]
+)
+_CERTIFICATE_FAILURE = re.compile(
+    r"last failure: (rounding residual|value residual"
+    r"|polynomial is not the \d+-th power|degree \d+ is not a multiple)")
+
+
+@pytest.mark.parametrize("disc, level, function", _CONTRACT_CASES)
+def test_exit_code_contract_at_the_cli_defaults(capsys, disc, level, function):
+    """A valid job at the default precision certifies its polynomial, or
+    exits 3 naming the certificate that failed last; never 4."""
+    rc, _, err = run_cli(capsys, "compute", "--disc", str(disc), "--level",
+                         str(level), "--function", function)
+    assert rc in (0, 3), err
+    if rc == 3:
+        assert _CERTIFICATE_FAILURE.search(err), err
 
 
 def test_exit_code_precision_exhaustion(capsys, monkeypatch):

@@ -335,6 +335,7 @@ def test_fixed_point_assembly_matches_the_mpc_schoolbook(disc, level, function, 
 
 def test_run_golden_polynomial():
     result = run(ClassFieldJob.create(-52, 5, "rogers-ramanujan", 320))
+    assert result.forms == reduced_forms(-52)
     assert result.polynomial == IntPolynomial(GOLDEN_MINUS_52_LEVEL_5_ASC)
     assert result.irreducible == result.polynomial
     assert result.exponent == 1

@@ -2,6 +2,7 @@
 
 import json
 import random
+from math import gcd
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -140,8 +141,20 @@ def test_lift_vector_congruence():
 # ----------------------------------------------------------------------
 
 def test_coset_counts_match_index_formula():
-    for n in range(1, 11):
-        assert enumerate_cosets(n).size() == coset_count_formula(n), n
+    """One rep per primitive column mod n up to sign, ordered by strictly
+    increasing normalized first column, each rep's first column mod n being
+    that normalized column."""
+    for tie_break in ("min", "max"):
+        for n in range(1, 61):
+            table = enumerate_cosets(n, tie_break)
+            assert table.size() == coset_count_formula(n), n
+            columns = [(g.a % n, g.c % n) for g in table.reps]
+            assert columns == [normalize_vector(a, c, n, tie_break) for a, c in columns]
+            assert all(x < y for x, y in zip(columns, columns[1:])), (n, tie_break)
+            assert set(columns) == {
+                normalize_vector(a, c, n, tie_break)
+                for a in range(n) for c in range(n) if gcd(gcd(a, c), n) == 1
+            }, (n, tie_break)
 
 
 def test_every_matrix_falls_in_its_column_coset():
