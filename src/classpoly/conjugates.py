@@ -31,6 +31,7 @@ from .modfunc import (
     ModularFunctionSpec,
     PrecisionConfig,
     catalog_lookup,
+    shared_series,
 )
 from .modgroup import CosetTable, UnimodularMatrix, enumerate_cosets, translation
 from .polyalgebra import (
@@ -148,8 +149,8 @@ def _in_pm_gamma1(gamma: UnimodularMatrix, level: int) -> bool:
     return (r11 == one and r22 == one) or (r11 == minus_one and r22 == minus_one)
 
 
-def build_extended_classes(order: CMOrder, level: int,
-                           table: CosetTable | None = None) -> list:
+def build_extended_classes(order: CMOrder, level: int, table: CosetTable | None = None,
+                           forms: list | None = None) -> list:
     """One unevaluated ConjugateDatum per grid cell that passes the filter;
     these hit every extended class exactly once.  The twist is built over Z
     with u = -a^-1 (b + b0)/2 mod the level, (a, b) from the cell's form and
@@ -157,7 +158,8 @@ def build_extended_classes(order: CMOrder, level: int,
     +-Gamma_1(level), is the identity class."""
     if table is None:
         table = enumerate_cosets(level)
-    forms = reduced_forms(order.disc)
+    if forms is None:
+        forms = reduced_forms(order.disc)
     mirrored = [QuadraticForm(f.a, -f.b, f.c) for f in forms]
     principal = order.principal_form()
     data = []
@@ -204,37 +206,37 @@ def cartan_order(order: CMOrder, level: int) -> CartanOrder:
 
 def _prepare(job: ClassFieldJob, table: CosetTable | None):
     """The class data shared by run() and compute_conjugates(): the coset
-    table (built when None) and the unevaluated classes."""
+    table (built when None), the reduced forms and the unevaluated classes."""
     if table is None:
         table = enumerate_cosets(job.level)
     if table.level != job.level:
         raise ValueError("coset table level does not match the job")
-    return table, build_extended_classes(job.order, job.level, table)
+    forms = reduced_forms(job.order.disc)
+    return table, forms, build_extended_classes(job.order, job.level, table, forms)
 
 
 def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
                       cfg: PrecisionConfig) -> list:
     pole_threshold = mpf(2) ** (cfg.target_bits // 2)
     data = []
-    for item in prepared:
-        argument = item.eval_point.transform(item.lifted.inverse())
-        value = function.evaluate(argument, cfg)
-        with mp.workprec(cfg.working_bits):
-            if abs(value) > pole_threshold:
-                raise PoleError(
-                    f"value of magnitude above 2^{cfg.target_bits // 2} at "
-                    f"class (i={item.i}, k={item.k}); possible pole"
-                )
-        data.append(replace(item, value=value, precision_bits=cfg.target_bits))
+    with shared_series():
+        for item in prepared:
+            argument = item.eval_point.transform(item.lifted.inverse())
+            value = function.evaluate(argument, cfg)
+            with mp.workprec(cfg.working_bits):
+                if abs(value) > pole_threshold:
+                    raise PoleError(f"value of magnitude above 2^{cfg.target_bits // 2} at "
+                                    f"class (i={item.i}, k={item.k}); possible pole")
+            data.append(replace(item, value=value, precision_bits=cfg.target_bits))
     return data
 
 
 def compute_conjugates(job: ClassFieldJob,
                        table: CosetTable | None = None) -> list:
-    """Evaluate the function once per extended class, at the job's
-    precision.  A value refused by its evaluator, an rr replay too near a
-    cusp, raises NonConvergenceError, and there is no retry."""
-    _, prepared = _prepare(job, table)
+    """Evaluate the function at every extended class, at the job's precision,
+    each series once per reduced point.  A value refused by its evaluator, an
+    rr replay too near a cusp, raises NonConvergenceError, with no retry."""
+    _, _, prepared = _prepare(job, table)
     return _evaluate_classes(prepared, job.function, job.precision)
 
 
@@ -299,8 +301,7 @@ class RunResult:
 def run(job: ClassFieldJob, table: CosetTable | None = None) -> RunResult:
     """Full pipeline with cross-checks, escalating the precision after a
     rounding, value or power certificate fails."""
-    table, prepared = _prepare(job, table)
-    forms = reduced_forms(job.order.disc)
+    table, forms, prepared = _prepare(job, table)
     cartan = cartan_order(job.order, job.level)
     expected = len(forms) * cartan.quotient
     if len(prepared) != expected:

@@ -10,7 +10,10 @@ q^(1/5) theta(q^5, q) / theta(q^5, q^2), j is Weber's (f^24 + 16)^3 / f^24
 with f^24 = 2^12 q (P(q^2)/P(q))^24 and P(q) = theta(q^3, q), and a Klein
 form at integer parameters a / n, moved into [0, n)^2 by its transformation
 laws, is a prefactor times theta(q, e^(2 pi i (a1 tau + a2) / n)) / P(q)^3,
-the prefactors of a quotient gathered into one exponential.
+the prefactors of a quotient gathered into one exponential.  Inside
+shared_series(), held by the pipeline around one attempt's cells, each series
+is summed once per exact reduced form and working precision and shared by the
+cells at that form; outside it, every call sums its own.
 
 The q^e convention throughout is q^e = exp(2*pi*i*e*tau).
 """
@@ -18,6 +21,7 @@ The q^e convention throughout is q^e = exp(2*pi*i*e*tau).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -65,17 +69,45 @@ DEFAULT_PRECISION = PrecisionConfig()
 
 
 def _reduce_point(tau, level: int = 1):
-    """(z, gamma) with z in the fundamental domain and level * tau = gamma z.
-
-    A form is reduced exactly, by Gauss reduction, and only the reduced root
-    is computed: level * tau is the root of (a, level b, level^2 c), divided
-    by its content.  Any other point goes through the numeric loop."""
+    """(point, gamma) with point in the fundamental domain and
+    level * tau = gamma point: a form exactly, by Gauss reduction, to the
+    reduced form (level * tau is the root of (a, level b, level^2 c) over its
+    content), any other point by the numeric loop, to an mpc."""
     if isinstance(tau, QuadraticForm):
         a, b, c = tau.a, level * tau.b, level * level * tau.c
         g = math.gcd(a, b, c)
-        reduced, gamma = reduce_form(QuadraticForm(a // g, b // g, c // g))
-        return reduced.to_mpc(), gamma
+        return reduce_form(QuadraticForm(a // g, b // g, c // g))
     return fundamental_domain_reduce(mpc(tau) * level)
+
+
+def _root(point) -> mpc:
+    return point.to_mpc() if isinstance(point, QuadraticForm) else point
+
+
+_shared = None  # the memo of the innermost shared_series() block, or None
+
+
+@contextmanager
+def shared_series():
+    """Within the block, _share computes each value once per key and working
+    precision; the memo is dropped however the block is left."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def _share(key, compute):
+    """compute(), or inside shared_series() its first value for key at this
+    working precision.  key must fix that value: an exact point, not a rounded one."""
+    if _shared is None:
+        return compute()
+    key = (key, mp.prec)
+    if key not in _shared:
+        _shared[key] = compute()
+    return _shared[key]
 
 
 # ----------------------------------------------------------------------
@@ -162,21 +194,25 @@ def _rr_product_ctx(z: mpc) -> mpc:
             / _theta_ctx(q5, q2, "rr-product"))
 
 
+def _replay_constants():  # zeta_5^k for k mod 5, and the golden ratio phi
+    zeta = mp.expjpi(mpf(2) / 5)
+    zeta2 = zeta * zeta
+    return (1, zeta, zeta2, mp.conj(zeta2), mp.conj(zeta)), (1 + mp.sqrt(5)) / 2
+
+
 def _replay_value(gamma, value: mpc) -> mpc:
     """Given value = r(z), return r(gamma z).  Euclid on the first column
     peels gamma = T^k S gamma' until what is left is +-T^m; with
     r(w + k) = zeta_5^k r(w) and r(S w) = (1 - phi r(w)) / (phi + r(w)),
-    the value is rebuilt from the innermost factor out."""
+    the value is rebuilt from the innermost factor out.  The constants are
+    computed once per working precision inside shared_series()."""
     a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
     turns = []  # the k of each T^k S, outermost first
     while c:
         k = a // c  # leaves |k c - a| < |c|
         turns.append(k)
         a, b, c, d = c, d, k * c - a, k * d - b
-    zeta = mp.expjpi(mpf(2) / 5)
-    zeta2 = zeta * zeta
-    powers = (1, zeta, zeta2, mp.conj(zeta2), mp.conj(zeta))  # zeta^k, k mod 5
-    phi = (1 + mp.sqrt(5)) / 2
+    powers, phi = _share("rr-replay", _replay_constants)
     value = powers[(b * d) % 5] * value  # +-T^m shifts by m = b d
     for k in reversed(turns):
         value = powers[k % 5] * (1 - phi * value) / (phi + value)
@@ -191,9 +227,9 @@ def _rr_ctx(tau) -> mpc:
     loses about |log2 r(tau)| bits, near a pole or a zero of r, so such a
     value past the bits added plus half the guard bits is refused rather
     than returned below its precision; a pure translation (c = 0) only
-    multiplies by a root of unity and loses nothing."""
-    z, gamma = _reduce_point(tau)
-    value = _rr_product_ctx(z)
+    multiplies by a root of unity and loses nothing.  Only r(z) is shared."""
+    point, gamma = _reduce_point(tau)
+    value = _share((point, "rr"), lambda: _rr_product_ctx(_root(point)))
     lost = -mp.mag(value)
     added = min(lost, mp.prec) if lost > GUARD_BITS // 4 else 0
     with mp.workprec(mp.prec + added):
@@ -207,8 +243,12 @@ def _rr_ctx(tau) -> mpc:
 def _j_ctx(tau) -> mpc:
     """Klein j by Weber's (f^24 + 16)^3 / f^24, where f = f2 and
     f^24 = 2^12 q (P(q^2) / P(q))^24 with P(q) = prod (1-q^n) = theta(q^3, q),
-    after moving tau into the fundamental domain (exact invariance)."""
-    z, _ = _reduce_point(tau)
+    at the reduced point of tau (exact invariance), the whole value shared."""
+    point, _ = _reduce_point(tau)
+    return _share((point, "j"), lambda: _j_series(_root(point)))
+
+
+def _j_series(z: mpc) -> mpc:
     q = mp.expjpi(2 * z)
     q2 = q * q
     ratio = _theta_ctx(q2 * q2 * q2, q2, "j") / _theta_ctx(q2 * q, q, "j")
@@ -233,21 +273,23 @@ def _klein_move(r: tuple, gamma, n: int):
     return (a1, a2), t
 
 
-def _klein_ctx(forms, z: mpc, gamma, n: int) -> mpc:
-    """prod (k_(r gamma)(z) P(q)^3)^e over the (e, r) in forms, e = +-1 and
-    r / n Klein parameters, which by K2 is prod k_r(gamma z)^e when the
-    exponents sum to zero.  After _klein_move, k_a P(q)^3 is the prefactor
-    e^(pi i t / n^2) q^(a1 (a1-n) / (2 n^2)) times theta(q, q_a), with
+def _klein_ctx(forms, point, gamma, n: int) -> mpc:
+    """prod (k_(r gamma)(z) P(q)^3)^e over the (e, r) in forms, e = +-1, r / n
+    Klein parameters, z the reduced point's root: by K2, prod k_r(gamma z)^e
+    when the exponents sum to zero.  After _klein_move, k_a P(q)^3 is the
+    prefactor e^(pi i t / n^2) q^(a1 (a1-n) / (2 n^2)) times theta(q, q_a), with
     q_a = e^(2 pi i (a1 z + a2) / n), where a in [0, n)^2, not (0, 0), keeps
-    |q| <= |q_a| <= 1 and q_a != 1; all the prefactors make one exponential."""
-    q = mp.expjpi(2 * z)
+    |q| <= |q_a| <= 1 and q_a != 1.  z, q and each theta are shared."""
+    z = _share((point, "root"), lambda: _root(point))
+    q = _share((point, "q"), lambda: mp.expjpi(2 * z))
     turns = slope = 0
     value = mpc(1)
     for e, r in forms:
         (a1, a2), t = _klein_move(r, gamma, n)
         turns += e * t
         slope += e * a1 * (a1 - n)
-        theta = _theta_ctx(q, mp.expjpi(2 * (a1 * z + a2) / n), "klein-form")
+        theta = _share((point, n, a1, a2), lambda: _theta_ctx(
+            q, mp.expjpi(2 * (a1 * z + a2) / n), "klein-form"))
         value = value * theta if e == 1 else value / theta
     return mp.expjpi((turns % (2 * n * n) + slope * z) / (n * n)) * value
 
@@ -373,8 +415,8 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
 
     def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
         with mp.workprec(cfg.working_bits):
-            w_star, gamma = _reduce_point(tau, level)
-            return _klein_ctx(forms, w_star, gamma, level)
+            point, gamma = _reduce_point(tau, level)
+            return _klein_ctx(forms, point, gamma, level)
 
     return ModularFunctionSpec(
         name=name,

@@ -25,7 +25,7 @@ from classpoly.errors import (
     RoundingFailureError,
     nstr,
 )
-from classpoly import modfunc
+from classpoly import conjugates, modfunc
 from classpoly.modfunc import (
     ModularFunctionSpec,
     PrecisionConfig,
@@ -107,6 +107,17 @@ def test_class_count_equals_forms_times_unit_quotient():
         for level in range(1, 8):
             got = len(build_extended_classes(order, level))
             assert got == h * cartan_order(order, level).quotient, (disc, level)
+
+
+def test_run_enumerates_the_reduced_forms_once(monkeypatch):
+    """run() builds its classes, its class-count cross-check and
+    RunResult.forms from one list of reduced forms."""
+    calls = []
+    monkeypatch.setattr(conjugates, "reduced_forms",
+                        lambda disc: calls.append(disc) or reduced_forms(disc))
+    result = run(ClassFieldJob.create(-52, 5, "rogers-ramanujan", 320))
+    assert calls == [-52]
+    assert result.forms == reduced_forms(-52)
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +293,10 @@ def _orbit_key(datum, level):
 def test_cells_with_one_orbit_key_share_their_value(disc, level, function, bits,
                                                      keys, multiplicity):
     """The values of compute_conjugates() depend only on the orbit key, and
-    every key covers the same number of cells: the exponent of p = irr^m."""
+    every key covers the same number of cells: the exponent of p = irr^m.
+    A level-1 value is the series at the reduced point, so its cells agree
+    exactly; an rr value is replayed per cell, so its cells agree to the
+    working precision."""
     job = ClassFieldJob.create(disc, level, function, bits)
     groups = {}
     for d in compute_conjugates(job):
@@ -292,9 +306,85 @@ def test_cells_with_one_orbit_key_share_their_value(disc, level, function, bits,
     with mp.workprec(2 * bits):
         for first, *rest in groups.values():
             for v in rest:
-                assert abs(v - first) < mpf(2) ** -bits * max(1, abs(first))
+                if job.function.level == 1:
+                    assert (v.real, v.imag) == (first.real, first.imag)
+                else:
+                    assert abs(v - first) < mpf(2) ** -bits * max(1, abs(first))
     if (disc, level, function) != (-391, 5, "j"):
         assert run(job).exponent == multiplicity
+
+
+_KLEIN_5 = "klein-quotient:1/5,0|2/5,0"
+_KLEIN_7 = "klein-quotient:1/7,0|2/7,0"
+
+
+@pytest.mark.parametrize("disc, level, function, bits", [
+    (-52, 5, "rogers-ramanujan", 320),
+    (-52, 5, "j", 1024),
+    (-56, 5, "j", 1024),
+    (-52, 10, "rogers-ramanujan", 256),
+    (-84, 7, _KLEIN_7, 256),
+    (-391, 5, "rogers-ramanujan", 256),  # replays at two precisions: Im z* = 9.9
+])
+def test_shared_series_give_the_values_of_single_point_calls(disc, level, function, bits):
+    """Every value of compute_conjugates(), whose cells share the series of
+    their reduced point, is exactly the value of evaluate() called alone."""
+    job = ClassFieldJob.create(disc, level, function, bits)
+    for d in compute_conjugates(job):
+        alone = job.function.evaluate(d.eval_point.transform(d.lifted.inverse()),
+                                      job.precision)
+        assert (d.value.real, d.value.imag) == (alone.real, alone.imag), (d.i, d.k)
+
+
+def _count_theta_calls(monkeypatch):
+    """Record every modfunc._theta_ctx call from here on; returns the record."""
+    calls = []
+    theta = modfunc._theta_ctx
+
+    def counting(*args):
+        calls.append(args)
+        return theta(*args)
+
+    monkeypatch.setattr(modfunc, "_theta_ctx", counting)
+    return calls
+
+
+@pytest.mark.parametrize("disc, level, function, bits, sums", [
+    (-52, 5, "rogers-ramanujan", 256, 4),  # 24 cells on 2 reduced points
+    (-52, 5, "j", 1024, 4),
+    (-52, 5, _KLEIN_5, 320, 36),  # one theta per reduced point and moved pair
+    (-391, 1, "j", 256, 28),  # one cell per reduced point
+])
+def test_each_series_is_summed_once_per_reduced_point(monkeypatch, disc, level,
+                                                       function, bits, sums):
+    """One compute_conjugates() sums each theta series once per reduced point,
+    and a second call sums them all again: nothing outlives the call."""
+    calls = _count_theta_calls(monkeypatch)
+    job = ClassFieldJob.create(disc, level, function, bits)
+    compute_conjugates(job)
+    assert len(calls) == sums
+    compute_conjugates(job)
+    assert len(calls) == 2 * sums
+
+
+def test_no_shared_series_outlive_a_failed_compute(monkeypatch):
+    """An evaluator that raises partway leaves no memo behind: a later
+    single-point call at a form already summed sums its series again."""
+    job = ClassFieldJob.create(-52, 5, "j", 1024)
+    seen = []
+
+    def fifth_call_fails(tau, cfg):
+        seen.append(tau)
+        if len(seen) == 5:
+            raise NonConvergenceError("synthetic")
+        return modfunc.eval_j(tau, cfg)
+
+    failing = replace(job, function=replace(job.function, evaluator=fifth_call_fails))
+    with pytest.raises(NonConvergenceError):
+        compute_conjugates(failing)
+    calls = _count_theta_calls(monkeypatch)
+    job.function.evaluate(seen[0], job.precision)
+    assert len(calls) == 2
 
 
 def test_assemble_poly_uses_reality_shortcut(golden_conjugates):
