@@ -10,7 +10,8 @@ q^(1/5) theta(q^5, q) / theta(q^5, q^2), j is Weber's (f^24 + 16)^3 / f^24
 with f^24 = 2^12 q (P(q^2)/P(q))^24 and P(q) = theta(q^3, q), and a Klein
 form at integer parameters a / n, moved into [0, n)^2 by its transformation
 laws, is a prefactor times theta(q, e^(2 pi i (a1 tau + a2) / n)) / P(q)^3,
-the prefactors of a quotient gathered into one exponential.  Inside
+the prefactors of a quotient gathered into one exponential; the level-5 value
+moves by one exact icosahedral Moebius map over Z[zeta_5] (Duke, 2005).  Inside
 shared_series(), held by the pipeline around one attempt's cells, each series
 is summed once per exact reduced form and working precision and shared by the
 cells at that form; outside it, every call sums its own.
@@ -20,7 +21,9 @@ The q^e convention throughout is q^e = exp(2*pi*i*e*tau).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,40 +197,88 @@ def _rr_product_ctx(z: mpc) -> mpc:
             / _theta_ctx(q5, q2, "rr-product"))
 
 
-def _replay_constants():  # zeta_5^k for k mod 5, and the golden ratio phi
-    zeta = mp.expjpi(mpf(2) / 5)
-    zeta2 = zeta * zeta
-    return (1, zeta, zeta2, mp.conj(zeta2), mp.conj(zeta)), (1 + mp.sqrt(5)) / 2
+# Z[zeta_5] as coefficients of 1, zeta, ..., zeta^4 with the last one 0, and
+# a matrix [[a, b], [c, d]] as (a, b, c, d); phi = -(zeta^2 + zeta^3).
+_ONE, _ZERO = (1, 0, 0, 0, 0), (0, 0, 0, 0, 0)
+_GENERATORS = (((1, 1, 0, 1), ((0, 1, 0, 0, 0), _ZERO, _ZERO, _ONE)),  # r(z + 1) = zeta r(z)
+               # r(-1/z) = (1 - phi r) / (phi + r)
+               ((0, -1, 1, 0), ((0, 0, 1, 1, 0), _ONE, _ONE, (0, 0, -1, -1, 0))))
+
+
+def _zeta_dot(x1: tuple, y1: tuple, x2: tuple, y2: tuple) -> tuple:
+    """x1 y1 + x2 y2 in Z[zeta_5]: cyclic convolutions (y[k - i] wraps, as
+    zeta^5 = 1), then zeta^4 taken out."""
+    c = [sum(x1[i] * y1[k - i] + x2[i] * y2[k - i] for i in range(5)) for k in range(5)]
+    return tuple(v - c[4] for v in c)
+
+
+def _pm_mod5(a: int, b: int, c: int, d: int) -> tuple:
+    """+-[[a, b], [c, d]] mod 5 as one (a, b, c, d) in [0, 5): the lesser sign."""
+    return min(tuple(x % 5 for x in (a, b, c, d)), tuple(-x % 5 for x in (a, b, c, d)))
+
+
+@functools.cache
+def _icosahedral_maps() -> dict:
+    """For each +-gamma mod 5, the M over Z[zeta_5] with r(gamma z) = (m11 r(z)
+    + m12) / (m21 r(z) + m22).  gamma -> M is a homomorphism into PGL2, trivial
+    on +-Gamma(5): a breadth-first search from I over right products by T and S
+    reaches all 60, with coefficients at most 6.  Built at the first rr replay."""
+    found = {(1, 0, 0, 1): (_ONE, _ZERO, _ZERO, _ONE)}
+    queue = list(found)
+    for g in queue:  # grows as it is walked
+        m = found[g]
+        for h, s in _GENERATORS:
+            key = _pm_mod5(*(g[i] * h[j] + g[i + 1] * h[j + 2] for i in (0, 2) for j in (0, 1)))
+            if key not in found:
+                found[key] = tuple(_zeta_dot(m[i], s[j], m[i + 1], s[j + 2])
+                                   for i in (0, 2) for j in (0, 1))
+                queue.append(key)
+    return found
+
+
+def _replay_constants():
+    """zeta_5^k, k mod 5, at the working precision and in parts at scale 2^(prec + 16)."""
+    shift = mp.prec + 16
+    with mp.workprec(shift + 8):
+        zeta = mp.expjpi(mpf(2) / 5)
+        powers = (mpc(1), zeta, zeta * zeta, mp.conj(zeta * zeta), mp.conj(zeta))
+    return ([+x for x in powers], [to_fixed(x.real._mpf_, shift) for x in powers],
+            [to_fixed(x.imag._mpf_, shift) for x in powers])
 
 
 def _replay_value(gamma, value: mpc) -> mpc:
-    """Given value = r(z), return r(gamma z).  Euclid on the first column
-    peels gamma = T^k S gamma' until what is left is +-T^m; with
-    r(w + k) = zeta_5^k r(w) and r(S w) = (1 - phi r(w)) / (phi + r(w)),
-    the value is rebuilt from the innermost factor out.  The constants are
-    computed once per working precision inside shared_series()."""
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-    turns = []  # the k of each T^k S, outermost first
-    while c:
-        k = a // c  # leaves |k c - a| < |c|
-        turns.append(k)
-        a, b, c, d = c, d, k * c - a, k * d - b
-    powers, phi = _share("rr-replay", _replay_constants)
-    value = powers[(b * d) % 5] * value  # +-T^m shifts by m = b d
-    for k in reversed(turns):
-        value = powers[k % 5] * (1 - phi * value) / (phi + value)
-    return value
+    """Given value = r(z) at a point z of the fundamental domain, return
+    r(gamma z) by the exact map of +-gamma mod 5.  The 10 maps with c = 0
+    mod 5 keep {0, infinity}: +-T^k acts as v -> zeta^(b d) v, and
+    +-[[2, 0], [0, 3]] T^k, where [[2, 0], [0, 3]] acts as v -> -1/v, as
+    v -> -zeta^(-b d) / v: one mpc operation each, with no loss for any
+    value.  The other 50 send 0 and infinity to the finite cusp values of r,
+    of modulus phi or 1/phi > 0.61, while |r(z)| < 0.34, so they are applied
+    on Gaussian integers at scale 2^(prec + 16): entries (coefficients at
+    most 6) against fixed-point zeta^k, products shifted back, one integer
+    division per part.  The constants are shared inside shared_series()."""
+    zetas, reals, imags = _share("rr-replay", _replay_constants)
+    if gamma.c % 5 == 0:
+        turn = gamma.b * gamma.d % 5
+        return zetas[turn] * value if gamma.a % 5 in (1, 4) else -zetas[-turn] / value
+    shift = mp.prec + 16
+    vr, vi = to_fixed(value.real._mpf_, shift), to_fixed(value.imag._mpf_, shift)
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = (
+        (sum(map(operator.mul, entry, reals)), sum(map(operator.mul, entry, imags)))
+        for entry in _icosahedral_maps()[_pm_mod5(gamma.a, gamma.b, gamma.c, gamma.d)])
+    nr, ni = ((ar * vr - ai * vi) >> shift) + br, ((ar * vi + ai * vr) >> shift) + bi
+    er, ei = ((cr * vr - ci * vi) >> shift) + dr, ((cr * vi + ci * vr) >> shift) + di
+    norm = er * er + ei * ei
+    parts = (((nr * er + ni * ei) << shift) // norm, ((ni * er - nr * ei) << shift) // norm)
+    return mp.make_mpc(tuple(from_man_exp(x, -shift, mp.prec, round_nearest) for x in parts))
 
 
 def _rr_ctx(tau) -> mpc:
-    """r(tau) from r(z) at the reduced point, by the replay.  A first S step
-    keeps only the absolute bits of r(z), which is tiny when Im z is large;
-    past a quarter of the guard bits, the replay runs with those bits added,
-    at most doubling the precision near a cusp.  A replay with an S step
-    loses about |log2 r(tau)| bits, near a pole or a zero of r, so such a
-    value past the bits added plus half the guard bits is refused rather
-    than returned below its precision; a pure translation (c = 0) only
-    multiplies by a root of unity and loses nothing.  Only r(z) is shared."""
+    """r(tau) from r(z) at the reduced point, moved by _replay_value, which
+    loses no bits, under a conservative contract: past a quarter of the guard
+    bits lost to a tiny r(z), the map runs with those bits added, and a value
+    with c != 0 past the bits added plus half the guard bits is refused as
+    too near a cusp.  Only r(z) is shared."""
     point, gamma = _reduce_point(tau)
     value = _share((point, "rr"), lambda: _rr_product_ctx(_root(point)))
     lost = -mp.mag(value)

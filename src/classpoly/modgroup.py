@@ -136,11 +136,6 @@ class CosetTable:
     def size(self) -> int:
         return len(self.reps)
 
-    def index_of_column(self, a: int, c: int) -> int:
-        key = normalize_vector(a, c, self.level, self.tie_break)
-        n = self.level
-        return next(k for k, g in enumerate(self.reps) if (g.a % n, g.c % n) == key)
-
     def to_json_dict(self):
         return {
             "level": self.level,

@@ -9,8 +9,6 @@ integers, so no rational arithmetic is needed.
 
 from __future__ import annotations
 
-from math import gcd
-
 from mpmath import mp, mpc
 from mpmath.libmp import from_man_exp
 
@@ -48,20 +46,6 @@ class IntPolynomial:
 
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
-
-    def primitive_positive(self) -> "IntPolynomial":
-        """Divide out the content and make the leading coefficient positive."""
-        if self.is_zero():
-            return self
-        g = self.content()
-        sign = 1 if self.leading() > 0 else -1
-        return IntPolynomial(c * sign // g for c in self.coeffs)
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
@@ -185,20 +169,24 @@ def _divmod_monic(p: IntPolynomial, d: IntPolynomial):
     return IntPolynomial(quot), IntPolynomial(rem[:dd])
 
 
-def _monic_mod(p: IntPolynomial, prime: int) -> IntPolynomial:
-    inverse = pow(p.leading(), -1, prime)
-    return IntPolynomial(c * inverse % prime for c in p.coeffs)
-
-
 def _gcd_mod(p: IntPolynomial, q: IntPolynomial, prime: int) -> IntPolynomial:
     """Monic gcd over Z/prime, residues in [0, prime), of p (monic, so
-    nonzero there) and q.  Division by a monic divisor commutes with the
-    reduction mod prime, so each remainder is taken over Z, then reduced."""
-    a, b = p, IntPolynomial(c % prime for c in q.coeffs)
-    while not b.is_zero():
-        b = _monic_mod(b, prime)
-        a, b = b, IntPolynomial(c % prime for c in _divmod_monic(a, b)[1].coeffs)
-    return _monic_mod(a, prime)
+    nonzero there) and q, by Euclid on lists of residues: each divisor is
+    made monic, and each quotient digit is reduced before it is used."""
+    a, b = [c % prime for c in p.coeffs], [c % prime for c in q.coeffs]
+    while b:
+        if not b[-1]:
+            b.pop()
+            continue
+        inverse = pow(b[-1], -1, prime)
+        b = [c * inverse % prime for c in b]
+        db = len(b) - 1
+        for top in range(len(a) - 1, db - 1, -1):
+            factor, shift = a[top] % prime, top - db
+            for k in range(db):
+                a[shift + k] -= factor * b[k]
+        a, b = b, [c % prime for c in a[:db]]
+    return IntPolynomial(a)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:

@@ -60,14 +60,6 @@ class QuadraticForm:
             a * q * q + b * q * s + c * s * s,
         )
 
-    def is_reduced(self) -> bool:
-        """Gauss-reduced: |b| <= a <= c, with b >= 0 on the boundary."""
-        if not (abs(self.b) <= self.a <= self.c):
-            return False
-        if (abs(self.b) == self.a or self.a == self.c) and self.b < 0:
-            return False
-        return True
-
     def to_mpc(self) -> mpc:
         """The root (-b + sqrt(D)) / (2a), in the upper half-plane, at the
         current working precision."""

@@ -23,9 +23,9 @@ from mpmath import mp, mpc, mpf
 
 from classpoly.conjugates import _identity_value, cartan_order
 from classpoly.modfunc import GUARD_BITS
-from classpoly.modgroup import UnimodularMatrix, enumerate_cosets
+from classpoly.modgroup import UnimodularMatrix, enumerate_cosets, normalize_vector
 from classpoly.polyalgebra import IntPolynomial
-from classpoly.quadforms import CMOrder, reduced_forms
+from classpoly.quadforms import CMOrder, QuadraticForm, reduced_forms
 
 
 def egcd(a: int, b: int):
@@ -157,6 +157,13 @@ CLASS_NUMBER_TABLE = {
 }
 
 
+def is_reduced(form: QuadraticForm) -> bool:
+    """Gauss-reduced: |b| <= a <= c, with b >= 0 on the boundary."""
+    if not abs(form.b) <= form.a <= form.c:
+        return False
+    return not ((abs(form.b) == form.a or form.a == form.c) and form.b < 0)
+
+
 def brute_force_reduced_forms(disc: int):
     """Reduced primitive forms found by scanning (a, c) and solving for b."""
     assert disc < 0 and disc % 4 in (0, 1)
@@ -231,6 +238,54 @@ def in_pm_gamma1(g: UnimodularMatrix, n: int) -> bool:
         ):
             return True
     return False
+
+
+def index_of_column(table, a: int, c: int) -> int:
+    """The index of the rep whose first column mod the level is the
+    normalized column of (a, c)."""
+    key = normalize_vector(a, c, table.level, table.tie_break)
+    n = table.level
+    return next(k for k, g in enumerate(table.reps) if (g.a % n, g.c % n) == key)
+
+
+# ----------------------------------------------------------------------
+# Z[zeta_5] by long division by 1 + x + x^2 + x^3 + x^4, apart from the
+# package's cyclic convolution; a matrix [[a, b], [c, d]] as (a, b, c, d)
+# ----------------------------------------------------------------------
+
+def zeta5(*coeffs) -> tuple:
+    """sum coeffs[k] zeta_5^k as its coefficients on 1, zeta, zeta^2, zeta^3."""
+    cs = list(coeffs) + [0] * 4
+    for top in range(len(cs) - 1, 3, -1):
+        lead = cs[top]
+        for k in range(top - 4, top + 1):
+            cs[k] -= lead
+    return tuple(cs[:4])
+
+
+def zeta5_mul(x, y) -> tuple:
+    product = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            product[i + j] += a * b
+    return zeta5(*product)
+
+
+def zeta5_matmul(m, n) -> tuple:
+    (a, b, c, d), (e, f, g, h) = m, n
+
+    def dot(x1, y1, x2, y2):
+        return tuple(u + v for u, v in zip(zeta5_mul(x1, y1), zeta5_mul(x2, y2)))
+
+    return (dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h))
+
+
+def zeta5_proportional(m, n) -> bool:
+    """m = lambda n for a scalar lambda of Q(zeta_5), n not zero: every 2x2
+    minor of the rows m, n vanishes."""
+    m, n = [zeta5(*x) for x in m], [zeta5(*x) for x in n]
+    return any(any(x) for x in n) and all(
+        zeta5_mul(m[i], n[j]) == zeta5_mul(m[j], n[i]) for i in range(4) for j in range(i))
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +370,22 @@ def _frac_mod(a, b):
     return a[: da + 1]
 
 
+def content(p: IntPolynomial) -> int:
+    g = 0
+    for c in p.coeffs:
+        g = gcd(g, abs(c))
+    return g
+
+
+def primitive_positive(p: IntPolynomial) -> IntPolynomial:
+    """Divide out the content and make the leading coefficient positive."""
+    if p.is_zero():
+        return p
+    g = content(p)
+    sign = 1 if p.leading() > 0 else -1
+    return IntPolynomial(c * sign // g for c in p.coeffs)
+
+
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor in Z[x] by Euclid over the rationals,
     primitive with positive leading coefficient.  gcd(p, 0) is the
@@ -322,9 +393,9 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if p.is_zero():
-        return q.primitive_positive()
+        return primitive_positive(q)
     if q.is_zero():
-        return p.primitive_positive()
+        return primitive_positive(p)
     a, b = _fraction_coeffs(p), _fraction_coeffs(q)
     while _frac_degree(b) >= 0:
         a, b = b, _frac_mod(a, b)
@@ -333,7 +404,7 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     for c in a:
         lcm = lcm * c.denominator // gcd(lcm, c.denominator)
     ints = IntPolynomial(int(c * lcm) for c in a)
-    return ints.primitive_positive()
+    return primitive_positive(ints)
 
 
 def exact_divide(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:

@@ -23,8 +23,10 @@ from classpoly.modfunc import (
     check_klein_relation,
     eval_j,
     eval_rr,
+    _icosahedral_maps,
     _icosahedral_residual,
     _j_ctx,
+    _pm_mod5,
     _replay_value,
     _rr_ctx,
     _theta_ctx,
@@ -40,6 +42,9 @@ from _oracles import (
     random_sl2,
     rr_continued_fraction,
     theta_reference,
+    zeta5,
+    zeta5_matmul,
+    zeta5_proportional,
 )
 from frozen_values import RR_AT_SQRT_MINUS_13
 
@@ -218,16 +223,20 @@ def test_rr_replay_near_cusps_is_right_or_refused():
 
 
 def test_replay_value_is_r_at_the_moved_point():
-    """_replay_value(gamma, r(z)) is r(gamma z), for gamma = -I, pure
-    translations of either sign, S, and random matrices with c < 0, c = 0
-    and entries up to about 50.  r(z) is the continued fraction; r(gamma z),
-    near the real line, is the reduced Klein quotient, which moves its
-    parameters exactly and replays nothing."""
+    """_replay_value(gamma, r(z)) is r(gamma z) to 2^-100 relative, for
+    gamma = -I, pure translations of either sign, S, matrices with c = 0
+    mod 5 and a = +-2 mod 5 (v -> -zeta^k / v), and random matrices with
+    c < 0, c = 0 and entries up to about 50 or up to 10^6, whose Euclid
+    chains are long.  r(z) is the continued fraction; r(gamma z), near the
+    real line, is the reduced Klein quotient, which moves its parameters
+    exactly and replays nothing."""
     spec = catalog_lookup("klein-quotient:1/5,0|2/5,0")
     rng = random.Random(41)
     minus_one = UnimodularMatrix(-1, 0, 0, -1)
-    gammas = [minus_one, translation(7), minus_one @ translation(-13), S]
+    gammas = [minus_one, translation(7), minus_one @ translation(-13), S,
+              UnimodularMatrix(2, 1, 5, 3), UnimodularMatrix(-3, 2, 10, -7)]
     gammas += [random_sl2(rng, 50) for _ in range(12)]
+    gammas += [random_sl2(rng, 10 ** 6) for _ in range(12)]
     assert any(g.c < 0 for g in gammas) and any(g.c == 0 for g in gammas)
     cfg = PrecisionConfig(target_bits=128)
     with mp.workprec(cfg.working_bits):
@@ -236,7 +245,113 @@ def test_replay_value_is_r_at_the_moved_point():
         for gamma in gammas:
             got = _replay_value(gamma, r_z)
             want = spec.evaluate(mobius_apply(gamma, z), cfg)
-            assert abs(got - want) < mpf(2) ** -100 * max(1, abs(want)), gamma
+            assert abs(got - want) < mpf(2) ** -100 * abs(want), gamma
+
+
+def test_replay_value_inverts_a_tiny_value_to_full_relative_precision():
+    """[[2, 1], [5, 3]] is +-[[2, 0], [0, 3]] T^2 mod 5, so it swaps 0 and
+    infinity: r(z) of about 2^-300 goes to -zeta^(-b d) / r(z), about 2^300,
+    with every working bit, and agrees with the Klein quotient at gamma z."""
+    gamma = UnimodularMatrix(2, 1, 5, 3)
+    cfg = PrecisionConfig(target_bits=128)
+    with mp.workprec(cfg.working_bits):
+        z = mpc("0.1", "165.5")
+        r_z = rr_continued_fraction(z, cfg.working_bits)
+        got = _replay_value(gamma, r_z)
+    with mp.workprec(4 * cfg.working_bits):
+        assert -302 < mp.mag(r_z) < -298
+        want = -mp.expjpi(mpf(-2 * gamma.b * gamma.d) / 5) / r_z
+        assert abs(got - want) < mpf(2) ** (1 - cfg.working_bits) * abs(want)
+        klein = catalog_lookup("klein-quotient:1/5,0|2/5,0").evaluate(mobius_apply(gamma, z), cfg)
+        assert abs(got - klein) < mpf(2) ** -120 * abs(klein)
+
+
+ZETA_POWERS = [zeta5(*([0] * k + [1])) for k in range(5)]
+
+
+def _word_matrix(gamma) -> tuple:
+    """The T and S rules multiplied out over Z[zeta_5] along gamma = T^k1 S
+    T^k2 S ... (+-T^m), the word Euclid reads off the first column."""
+    def rule_t(k):
+        return (ZETA_POWERS[k % 5], zeta5(), zeta5(), zeta5(1))
+
+    phi = zeta5(0, 0, -1, -1)  # -(zeta^2 + zeta^3)
+    rule_s = (zeta5(0, 0, 1, 1), zeta5(1), zeta5(1), phi)
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    product = rule_t(0)
+    while c:
+        k = a // c
+        product = zeta5_matmul(zeta5_matmul(product, rule_t(k)), rule_s)
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return zeta5_matmul(product, rule_t(b * d))
+
+
+def _table_map(gamma) -> tuple:
+    return _icosahedral_maps()[_pm_mod5(gamma.a, gamma.b, gamma.c, gamma.d)]
+
+
+def test_icosahedral_table_has_one_map_per_element_of_psl2_mod_5():
+    """60 maps keyed by the elements of PSL2(Z/5), their coefficients at
+    most 6, the bound the fixed-point replay is sized for."""
+    maps = _icosahedral_maps()
+    elements = {_pm_mod5(a, b, c, d) for a in range(5) for b in range(5)
+                for c in range(5) for d in range(5) if (a * d - b * c) % 5 == 1}
+    assert len(maps) == len(elements) == 60
+    assert set(maps) == elements
+    assert max(abs(x) for m in maps.values() for entry in m for x in entry) <= 6
+
+
+def test_icosahedral_maps_are_a_homomorphism():
+    """M_(g1 g2) is proportional to M_g1 M_g2 exactly over Z[zeta_5], and
+    each M_g to the T and S rules multiplied along g's Euclid word."""
+    rng = random.Random(43)
+    for _ in range(60):
+        g1, g2 = random_sl2(rng, 60), random_sl2(rng, 60)
+        assert zeta5_proportional(_table_map(g1 @ g2),
+                                  zeta5_matmul(_table_map(g1), _table_map(g2))), (g1, g2)
+        assert zeta5_proportional(_table_map(g1), _word_matrix(g1)), g1
+
+
+def test_icosahedral_maps_are_scalar_on_plus_minus_gamma_5():
+    """The T and S rules multiplied along any gamma = +-I mod 5 give a
+    scalar matrix, and the table maps +-I to the identity."""
+    rng = random.Random(44)
+    minus_one = UnimodularMatrix(-1, 0, 0, -1)
+    for _ in range(30):
+        g = random_principal_congruence(rng, 5, bound=40)
+        for gamma in (g, minus_one @ g):
+            a, b, c, d = _word_matrix(gamma)
+            assert b == c == zeta5() and a == d, gamma
+    assert zeta5_proportional(_table_map(minus_one), (zeta5(1), zeta5(), zeta5(), zeta5(1)))
+
+
+def test_icosahedral_maps_of_t_and_s_are_the_rr_rules():
+    """T gives v -> zeta v and S gives v -> (1 - phi v) / (phi + v), as
+    matrices and as values."""
+    phi = zeta5(0, 0, -1, -1)
+    assert zeta5_proportional(_table_map(translation(1)),
+                              (zeta5(0, 1), zeta5(), zeta5(), zeta5(1)))
+    assert zeta5_proportional(_table_map(S), (zeta5(0, 0, 1, 1), zeta5(1), zeta5(1), phi))
+    with mp.workprec(CFG192.working_bits):
+        v = rr_continued_fraction(mpc("0.21", "1.3"), CFG192.working_bits)
+        tol = mpf(2) ** (4 - CFG192.working_bits)
+        assert abs(_replay_value(translation(1), v) - _rr_t_rule(v)) < tol * abs(v)
+        assert abs(_replay_value(S, v) - _rr_s_rule(v)) < tol
+
+
+def test_maps_keeping_zero_and_infinity_are_the_closed_forms():
+    """The 10 maps with c = 0 mod 5 are those _replay_value applies as one
+    mpc operation: [[zeta^(b d), 0], [0, 1]] for a = +-1 and
+    [[0, -zeta^(-b d)], [1, 0]] for a = +-2 mod 5.  The other 50 have no
+    zero entry, so neither 0 nor infinity maps to 0 or infinity."""
+    for (a, b, c, d), m in _icosahedral_maps().items():
+        if c:
+            assert all(any(zeta5(*entry)) for entry in m), (a, b, c, d)
+        elif a in (1, 4):
+            assert zeta5_proportional(m, (ZETA_POWERS[b * d % 5], zeta5(), zeta5(), zeta5(1)))
+        else:
+            minus = tuple(-x for x in ZETA_POWERS[-b * d % 5])
+            assert zeta5_proportional(m, (zeta5(), minus, zeta5(1), zeta5()))
 
 
 def test_rr_principal_congruence_invariance_sample():

