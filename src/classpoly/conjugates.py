@@ -31,7 +31,6 @@ from .modfunc import (
     ModularFunctionSpec,
     PrecisionConfig,
     catalog_lookup,
-    shared_series,
 )
 from .modgroup import CosetTable, UnimodularMatrix, enumerate_cosets, translation
 from .polyalgebra import (
@@ -217,17 +216,16 @@ def _prepare(job: ClassFieldJob, table: CosetTable | None):
 
 def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
                       cfg: PrecisionConfig) -> list:
-    data = []
-    with shared_series():
-        for item in prepared:
-            argument = item.eval_point.transform(item.lifted.inverse())
-            value = function.evaluate(argument, cfg)
-            if mp.mag(value) > cfg.target_bits // 2:  # an upper bound: |value| <= 2^mag
-                with mp.workprec(cfg.working_bits):
-                    if abs(value) > mpf(2) ** (cfg.target_bits // 2):
-                        raise PoleError(f"value of magnitude above 2^{cfg.target_bits // 2} at "
-                                        f"class (i={item.i}, k={item.k}); possible pole")
-            data.append(replace(item, value=value, precision_bits=cfg.target_bits))
+    data, memo = [], {}  # each series once per reduced point in this attempt
+    for item in prepared:
+        argument = item.eval_point.transform(item.lifted.inverse())
+        value = function.evaluate(argument, cfg, memo)
+        if mp.mag(value) > cfg.target_bits // 2:  # an upper bound: |value| <= 2^mag
+            with mp.workprec(cfg.working_bits):
+                if abs(value) > mpf(2) ** (cfg.target_bits // 2):
+                    raise PoleError(f"value of magnitude above 2^{cfg.target_bits // 2} at "
+                                    f"class (i={item.i}, k={item.k}); possible pole")
+        data.append(replace(item, value=value, precision_bits=cfg.target_bits))
     return data
 
 

@@ -16,8 +16,8 @@ class ClasspolyError(Exception):
 
 class NonConvergenceError(ClasspolyError):
     """A theta series lost more bits to cancellation than a reduced point
-    allows, or the rr replay, at a point too near a cusp, would lose more
-    bits than it adds."""
+    allows, or an rr value, at a point too near a cusp, has a magnitude past
+    the bound the rr evaluator allows."""
 
 
 class PrecisionExhaustedError(ClasspolyError):

@@ -11,20 +11,18 @@ with f^24 = 2^12 q (P(q^2)/P(q))^24 and P(q) = theta(q^3, q), and a Klein
 form at integer parameters a / n, moved into [0, n)^2 by its transformation
 laws, is a prefactor times theta(q, e^(2 pi i (a1 tau + a2) / n)) / P(q)^3,
 the prefactors of a quotient gathered into one exponential; the level-5 value
-moves by one exact icosahedral Moebius map over Z[zeta_5] (Duke, 2005).  Inside
-shared_series(), held by the pipeline around one attempt's cells, each series
-is summed once per exact reduced form and working precision and shared by the
-cells at that form; outside it, every call sums its own.
+moves by a closed Moebius formula in gamma mod 5, the icosahedral action of
+SL2(Z) on it (Duke, 2005).  Each evaluator takes a memo, a dict its caller
+keeps for one attempt: each series is summed once per exact reduced form and
+working precision and shared by the calls at that form; with no memo, every
+call sums its own.
 
 The q^e convention throughout is q^e = exp(2*pi*i*e*tau).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -87,30 +85,16 @@ def _root(point) -> mpc:
     return point.to_mpc() if isinstance(point, QuadraticForm) else point
 
 
-_shared = None  # the memo of the innermost shared_series() block, or None
-
-
-@contextmanager
-def shared_series():
-    """Within the block, _share computes each value once per key and working
-    precision; the memo is dropped however the block is left."""
-    global _shared
-    outer, _shared = _shared, {}
-    try:
-        yield
-    finally:
-        _shared = outer
-
-
-def _share(key, compute):
-    """compute(), or inside shared_series() its first value for key at this
-    working precision.  key must fix that value: an exact point, not a rounded one."""
-    if _shared is None:
+def _share(memo, key, compute):
+    """memo's value for key at this working precision, computed on a miss, or
+    compute() when memo is None.  key must fix that value: an exact point, not
+    a rounded one."""
+    if memo is None:
         return compute()
     key = (key, mp.prec)
-    if key not in _shared:
-        _shared[key] = compute()
-    return _shared[key]
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 # ----------------------------------------------------------------------
@@ -197,106 +181,80 @@ def _rr_product_ctx(z: mpc) -> mpc:
             / _theta_ctx(q5, q2, "rr-product"))
 
 
-# Z[zeta_5] as coefficients of 1, zeta, ..., zeta^4 with the last one 0, and
-# a matrix [[a, b], [c, d]] as (a, b, c, d); phi = -(zeta^2 + zeta^3).
-_ONE, _ZERO = (1, 0, 0, 0, 0), (0, 0, 0, 0, 0)
-_GENERATORS = (((1, 1, 0, 1), ((0, 1, 0, 0, 0), _ZERO, _ZERO, _ONE)),  # r(z + 1) = zeta r(z)
-               # r(-1/z) = (1 - phi r) / (phi + r)
-               ((0, -1, 1, 0), ((0, 0, 1, 1, 0), _ONE, _ONE, (0, 0, -1, -1, 0))))
-
-
-def _zeta_dot(x1: tuple, y1: tuple, x2: tuple, y2: tuple) -> tuple:
-    """x1 y1 + x2 y2 in Z[zeta_5]: cyclic convolutions (y[k - i] wraps, as
-    zeta^5 = 1), then zeta^4 taken out."""
-    c = [sum(x1[i] * y1[k - i] + x2[i] * y2[k - i] for i in range(5)) for k in range(5)]
-    return tuple(v - c[4] for v in c)
-
-
-def _pm_mod5(a: int, b: int, c: int, d: int) -> tuple:
-    """+-[[a, b], [c, d]] mod 5 as one (a, b, c, d) in [0, 5): the lesser sign."""
-    return min(tuple(x % 5 for x in (a, b, c, d)), tuple(-x % 5 for x in (a, b, c, d)))
-
-
-@functools.cache
-def _icosahedral_maps() -> dict:
-    """For each +-gamma mod 5, the M over Z[zeta_5] with r(gamma z) = (m11 r(z)
-    + m12) / (m21 r(z) + m22).  gamma -> M is a homomorphism into PGL2, trivial
-    on +-Gamma(5): a breadth-first search from I over right products by T and S
-    reaches all 60, with coefficients at most 6.  Built at the first rr replay."""
-    found = {(1, 0, 0, 1): (_ONE, _ZERO, _ZERO, _ONE)}
-    queue = list(found)
-    for g in queue:  # grows as it is walked
-        m = found[g]
-        for h, s in _GENERATORS:
-            key = _pm_mod5(*(g[i] * h[j] + g[i + 1] * h[j + 2] for i in (0, 2) for j in (0, 1)))
-            if key not in found:
-                found[key] = tuple(_zeta_dot(m[i], s[j], m[i + 1], s[j + 2])
-                                   for i in (0, 2) for j in (0, 1))
-                queue.append(key)
-    return found
-
-
 def _replay_constants():
-    """zeta_5^k, k mod 5, at the working precision and in parts at scale 2^(prec + 16)."""
+    """zeta_5^k, k mod 5, at the working precision, and zeta^k and phi =
+    (1 + sqrt 5) / 2 in parts at scale 2^(prec + 16)."""
     shift = mp.prec + 16
     with mp.workprec(shift + 8):
         zeta = mp.expjpi(mpf(2) / 5)
         powers = (mpc(1), zeta, zeta * zeta, mp.conj(zeta * zeta), mp.conj(zeta))
+        phi = (1 + mp.sqrt(5)) / 2
     return ([+x for x in powers], [to_fixed(x.real._mpf_, shift) for x in powers],
-            [to_fixed(x.imag._mpf_, shift) for x in powers])
+            [to_fixed(x.imag._mpf_, shift) for x in powers], to_fixed(phi._mpf_, shift))
 
 
-def _replay_value(gamma, value: mpc) -> mpc:
+def _replay_value(gamma, value: mpc, memo) -> mpc:
     """Given value = r(z) at a point z of the fundamental domain, return
-    r(gamma z) by the exact map of +-gamma mod 5.  The 10 maps with c = 0
-    mod 5 keep {0, infinity}: +-T^k acts as v -> zeta^(b d) v, and
-    +-[[2, 0], [0, 3]] T^k, where [[2, 0], [0, 3]] acts as v -> -1/v, as
-    v -> -zeta^(-b d) / v: one mpc operation each, with no loss for any
-    value.  The other 50 send 0 and infinity to the finite cusp values of r,
-    of modulus phi or 1/phi > 0.61, while |r(z)| < 0.34, so they are applied
-    on Gaussian integers at scale 2^(prec + 16): entries (coefficients at
-    most 6) against fixed-point zeta^k, products shifted back, one integer
-    division per part.  The constants are shared inside shared_series()."""
-    zetas, reals, imags = _share("rr-replay", _replay_constants)
-    if gamma.c % 5 == 0:
+    r(gamma z).  SL2(Z) acts on r through SL2(Z/5) by T: v -> zeta v and
+    S: v -> (1 - phi v) / (phi + v), and diag(2, 3) acts as v -> -1/v.  If
+    c = 0 mod 5, +-gamma is T^(b d) or diag(2, 3) T^k mod 5, so r(gamma z) is
+    zeta^(b d) v for a = +-1 and -zeta^(-b d) / v for a = +-2: one mpc
+    operation, with no loss for any value.  Otherwise gamma = T^(a/c) S
+    diag(c, 1/c) T^(d/c) mod 5, and with u = zeta^(d/c) v
+
+        r(gamma z) = zeta^(a/c) (1 - phi u) / (phi + u)    for c = +-1,
+                     zeta^(a/c) (phi + u) / (phi u - 1)    for c = +-2 mod 5.
+
+    |r(z)| < 0.34 keeps every numerator and denominator above 0.45 in modulus,
+    so these run on Gaussian integers at scale 2^(prec + 16): products shifted
+    back, one integer division per part.  The constants are shared in memo."""
+    zetas, reals, imags, phi = _share(memo, "rr-replay", _replay_constants)
+    c = gamma.c % 5
+    if c == 0:
         turn = gamma.b * gamma.d % 5
         return zetas[turn] * value if gamma.a % 5 in (1, 4) else -zetas[-turn] / value
     shift = mp.prec + 16
-    vr, vi = to_fixed(value.real._mpf_, shift), to_fixed(value.imag._mpf_, shift)
-    (ar, ai), (br, bi), (cr, ci), (dr, di) = (
-        (sum(map(operator.mul, entry, reals)), sum(map(operator.mul, entry, imags)))
-        for entry in _icosahedral_maps()[_pm_mod5(gamma.a, gamma.b, gamma.c, gamma.d)])
-    nr, ni = ((ar * vr - ai * vi) >> shift) + br, ((ar * vi + ai * vr) >> shift) + bi
-    er, ei = ((cr * vr - ci * vi) >> shift) + dr, ((cr * vi + ci * vr) >> shift) + di
+    one, inverse = 1 << shift, pow(c, -1, 5)
+
+    def turned(k, x, y):  # zeta^k (x + i y)
+        return (reals[k] * x - imags[k] * y) >> shift, (reals[k] * y + imags[k] * x) >> shift
+
+    ur, ui = turned(gamma.d * inverse % 5, to_fixed(value.real._mpf_, shift),
+                    to_fixed(value.imag._mpf_, shift))
+    if c in (1, 4):
+        (nr, ni), (er, ei) = (one - (phi * ur >> shift), -(phi * ui >> shift)), (phi + ur, ui)
+    else:
+        (nr, ni), (er, ei) = (phi + ur, ui), ((phi * ur >> shift) - one, phi * ui >> shift)
+    nr, ni = turned(gamma.a * inverse % 5, nr, ni)
     norm = er * er + ei * ei
     parts = (((nr * er + ni * ei) << shift) // norm, ((ni * er - nr * ei) << shift) // norm)
     return mp.make_mpc(tuple(from_man_exp(x, -shift, mp.prec, round_nearest) for x in parts))
 
 
-def _rr_ctx(tau) -> mpc:
+def _rr_ctx(tau, memo) -> mpc:
     """r(tau) from r(z) at the reduced point, moved by _replay_value, which
-    loses no bits, under a conservative contract: past a quarter of the guard
-    bits lost to a tiny r(z), the map runs with those bits added, and a value
-    with c != 0 past the bits added plus half the guard bits is refused as
-    too near a cusp.  Only r(z) is shared."""
+    loses no bits, at the one working precision; r(z) and the constants are
+    shared in memo.  A value with c != 0 whose magnitude is past 2^limit or
+    below 2^-limit is refused as too near a cusp, limit being half the guard
+    bits, plus the bits lost to a tiny r(z) (up to the precision) once they
+    pass a quarter of the guard bits."""
     point, gamma = _reduce_point(tau)
-    value = _share((point, "rr"), lambda: _rr_product_ctx(_root(point)))
+    value = _share(memo, (point, "rr"), lambda: _rr_product_ctx(_root(point)))
     lost = -mp.mag(value)
-    added = min(lost, mp.prec) if lost > GUARD_BITS // 4 else 0
-    with mp.workprec(mp.prec + added):
-        value = _replay_value(gamma, value)
-    if gamma.c and abs(mp.mag(value)) > added + GUARD_BITS // 2:
+    limit = (min(lost, mp.prec) if lost > GUARD_BITS // 4 else 0) + GUARD_BITS // 2
+    value = _replay_value(gamma, value, memo)
+    if gamma.c and abs(mp.mag(value)) > limit:
         raise NonConvergenceError(f"rr replay near a cusp: a value of 2^{mp.mag(value)} "
-                                  f"loses more than the {added} bits added")
-    return +value
+                                  f"lies outside 2^-{limit} .. 2^{limit}")
+    return value
 
 
-def _j_ctx(tau) -> mpc:
+def _j_ctx(tau, memo) -> mpc:
     """Klein j by Weber's (f^24 + 16)^3 / f^24, where f = f2 and
     f^24 = 2^12 q (P(q^2) / P(q))^24 with P(q) = prod (1-q^n) = theta(q^3, q),
-    at the reduced point of tau (exact invariance), the whole value shared."""
+    at the reduced point of tau (exact invariance), the whole value shared in memo."""
     point, _ = _reduce_point(tau)
-    return _share((point, "j"), lambda: _j_series(_root(point)))
+    return _share(memo, (point, "j"), lambda: _j_series(_root(point)))
 
 
 def _j_series(z: mpc) -> mpc:
@@ -324,22 +282,22 @@ def _klein_move(r: tuple, gamma, n: int):
     return (a1, a2), t
 
 
-def _klein_ctx(forms, point, gamma, n: int) -> mpc:
+def _klein_ctx(forms, point, gamma, n: int, memo) -> mpc:
     """prod (k_(r gamma)(z) P(q)^3)^e over the (e, r) in forms, e = +-1, r / n
     Klein parameters, z the reduced point's root: by K2, prod k_r(gamma z)^e
     when the exponents sum to zero.  After _klein_move, k_a P(q)^3 is the
     prefactor e^(pi i t / n^2) q^(a1 (a1-n) / (2 n^2)) times theta(q, q_a), with
     q_a = e^(2 pi i (a1 z + a2) / n), where a in [0, n)^2, not (0, 0), keeps
-    |q| <= |q_a| <= 1 and q_a != 1.  z, q and each theta are shared."""
-    z = _share((point, "root"), lambda: _root(point))
-    q = _share((point, "q"), lambda: mp.expjpi(2 * z))
+    |q| <= |q_a| <= 1 and q_a != 1.  z, q and each theta are shared in memo."""
+    z = _share(memo, (point, "root"), lambda: _root(point))
+    q = _share(memo, (point, "q"), lambda: mp.expjpi(2 * z))
     turns = slope = 0
     value = mpc(1)
     for e, r in forms:
         (a1, a2), t = _klein_move(r, gamma, n)
         turns += e * t
         slope += e * a1 * (a1 - n)
-        theta = _share((point, n, a1, a2), lambda: _theta_ctx(
+        theta = _share(memo, (point, n, a1, a2), lambda: _theta_ctx(
             q, mp.expjpi(2 * (a1 * z + a2) / n), "klein-form"))
         value = value * theta if e == 1 else value / theta
     return mp.expjpi((turns % (2 * n * n) + slope * z) / (n * n)) * value
@@ -349,17 +307,17 @@ def _klein_ctx(forms, point, gamma, n: int) -> mpc:
 # public evaluators
 # ----------------------------------------------------------------------
 
-def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
+def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION, memo: dict | None = None) -> mpc:
     """Level-5 continued-fraction value; reduces the point to the
-    fundamental domain, a form exactly, and replays the matrix on the value."""
+    fundamental domain, a form exactly, and moves the value by the matrix."""
     with mp.workprec(cfg.working_bits):
-        return _rr_ctx(tau)
+        return _rr_ctx(tau, memo)
 
 
-def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
+def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION, memo: dict | None = None) -> mpc:
     """Klein j-function (1728 at i, 0 at the hexagonal point)."""
     with mp.workprec(cfg.working_bits):
-        return _j_ctx(tau)
+        return _j_ctx(tau, memo)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +350,7 @@ def check_icosahedral(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     """The icosahedral relation between r(tau) and j(tau), as its relative
     backward error (_icosahedral_residual).  Returns an mpf."""
     with mp.workprec(cfg.working_bits):
-        residual = _icosahedral_residual(_rr_ctx(tau), _j_ctx(tau))
+        residual = _icosahedral_residual(_rr_ctx(tau, None), _j_ctx(tau, None))
     return residual
 
 
@@ -402,7 +360,7 @@ def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     parameters from the reduced point of 5 tau instead.  Returns an mpf."""
     quotient = catalog_lookup("klein-quotient:1/5,0|2/5,0").evaluate(tau, cfg)
     with mp.workprec(cfg.working_bits):
-        r_value = _rr_ctx(tau)
+        r_value = _rr_ctx(tau, None)
         residual = abs(r_value - quotient) / abs(r_value)
     return residual
 
@@ -426,8 +384,12 @@ class ModularFunctionSpec:
     evaluator: Callable = field(compare=False)
     description: str = field(default="", compare=False)
 
-    def evaluate(self, tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
-        return self.evaluator(tau, cfg)
+    def evaluate(self, tau, cfg: PrecisionConfig = DEFAULT_PRECISION,
+                 memo: dict | None = None) -> mpc:
+        """The value at tau.  memo, a dict the caller keeps for one attempt at
+        one precision, shares each series among the calls at the same exact
+        reduced point; a fresh one is used when it is None."""
+        return self.evaluator(tau, cfg, {} if memo is None else memo)
 
 
 _BASE_CATALOG = (
@@ -464,10 +426,10 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
     rational = p2 == 0 and q2 == 0 and level % 2 == 1
     forms = ((1, (int(p1 * level), int(p2 * level))), (-1, (int(q1 * level), int(q2 * level))))
 
-    def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION) -> mpc:
+    def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION, memo: dict | None = None) -> mpc:
         with mp.workprec(cfg.working_bits):
             point, gamma = _reduce_point(tau, level)
-            return _klein_ctx(forms, point, gamma, level)
+            return _klein_ctx(forms, point, gamma, level, memo)
 
     return ModularFunctionSpec(
         name=name,

@@ -324,7 +324,7 @@ _KLEIN_7 = "klein-quotient:1/7,0|2/7,0"
     (-56, 5, "j", 1024),
     (-52, 10, "rogers-ramanujan", 256),
     (-84, 7, _KLEIN_7, 256),
-    (-391, 5, "rogers-ramanujan", 256),  # replays at two precisions: Im z* = 9.9
+    (-391, 5, "rogers-ramanujan", 256),  # tiny reduced values: Im z* = 9.9
 ])
 def test_shared_series_give_the_values_of_single_point_calls(disc, level, function, bits):
     """Every value of compute_conjugates(), whose cells share the series of
@@ -373,11 +373,11 @@ def test_no_shared_series_outlive_a_failed_compute(monkeypatch):
     job = ClassFieldJob.create(-52, 5, "j", 1024)
     seen = []
 
-    def fifth_call_fails(tau, cfg):
+    def fifth_call_fails(tau, cfg, memo):
         seen.append(tau)
         if len(seen) == 5:
             raise NonConvergenceError("synthetic")
-        return modfunc.eval_j(tau, cfg)
+        return modfunc.eval_j(tau, cfg, memo)
 
     failing = replace(job, function=replace(job.function, evaluator=fifth_call_fails))
     with pytest.raises(NonConvergenceError):
@@ -602,7 +602,7 @@ def test_run_rejects_mismatched_table():
 
 
 def _constant_spec(value) -> ModularFunctionSpec:
-    def evaluate(tau, cfg):
+    def evaluate(tau, cfg, memo):
         with mp.workprec(cfg.working_bits):
             return mpc(value)
 
@@ -616,7 +616,7 @@ def _constant_spec(value) -> ModularFunctionSpec:
 
 def _failing_spec(calls: list) -> ModularFunctionSpec:
     """Never converges; records the target bits of every call."""
-    def evaluate(tau, cfg):
+    def evaluate(tau, cfg, memo):
         calls.append(cfg.target_bits)
         raise NonConvergenceError("synthetic")
 

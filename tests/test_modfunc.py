@@ -23,10 +23,8 @@ from classpoly.modfunc import (
     check_klein_relation,
     eval_j,
     eval_rr,
-    _icosahedral_maps,
     _icosahedral_residual,
     _j_ctx,
-    _pm_mod5,
     _replay_value,
     _rr_ctx,
     _theta_ctx,
@@ -175,8 +173,8 @@ def test_rr_replay_keeps_its_precision_where_the_reduced_value_is_tiny():
 def test_rr_replay_returns_a_tiny_value_moved_by_a_translation():
     """A point high up reduces by a pure translation, which only multiplies
     r by a root of unity and loses no bits: r there is about 2^-362, past the
-    bits the replay adds, and is returned, as the continued fraction at tau
-    itself gives it.  The form is the principal point of D = -160003, so a
+    near-cusp limit, and is returned, as the continued fraction at tau itself
+    gives it.  The form is the principal point of D = -160003, so a
     level-5 class of that discriminant is evaluated there."""
     high, form = mpc("0.1", "200"), QuadraticForm(1, 1, 40001)
     with mp.workprec(300):
@@ -191,8 +189,9 @@ def test_rr_replay_returns_a_tiny_value_moved_by_a_translation():
 
 def test_rr_replay_refuses_a_point_too_near_a_cusp():
     """At (0.4123456789 + 1e-10 i) / 5 the reduced point has Im ~ 5390, so r
-    there is about 2^-9800 and the value at tau about 2^9772: far more bits
-    than the replay adds would be lost, and the point is refused."""
+    there is about 2^-9800 and the value at tau about 2^9772, far past the
+    near-cusp limit of the precision plus half the guard bits, and the point
+    is refused."""
     with mp.workprec(53):
         tau = mpc("0.4123456789", "1e-10") / 5
     with pytest.raises(NonConvergenceError, match="rr replay"):
@@ -243,7 +242,7 @@ def test_replay_value_is_r_at_the_moved_point():
         z = mpc("0.1037", "1.41")
         r_z = rr_continued_fraction(z, cfg.working_bits)
         for gamma in gammas:
-            got = _replay_value(gamma, r_z)
+            got = _replay_value(gamma, r_z, {})
             want = spec.evaluate(mobius_apply(gamma, z), cfg)
             assert abs(got - want) < mpf(2) ** -100 * abs(want), gamma
 
@@ -257,7 +256,7 @@ def test_replay_value_inverts_a_tiny_value_to_full_relative_precision():
     with mp.workprec(cfg.working_bits):
         z = mpc("0.1", "165.5")
         r_z = rr_continued_fraction(z, cfg.working_bits)
-        got = _replay_value(gamma, r_z)
+        got = _replay_value(gamma, r_z, {})
     with mp.workprec(4 * cfg.working_bits):
         assert -302 < mp.mag(r_z) < -298
         want = -mp.expjpi(mpf(-2 * gamma.b * gamma.d) / 5) / r_z
@@ -286,35 +285,116 @@ def _word_matrix(gamma) -> tuple:
     return zeta5_matmul(product, rule_t(b * d))
 
 
-def _table_map(gamma) -> tuple:
-    return _icosahedral_maps()[_pm_mod5(gamma.a, gamma.b, gamma.c, gamma.d)]
+def _word_map(gamma, v):
+    """The Moebius map of _word_matrix(gamma) at v, at the working precision."""
+    zeta = mp.expjpi(mpf(2) / 5)
+    a, b, c, d = (sum(x * zeta ** k for k, x in enumerate(entry)) for entry in _word_matrix(gamma))
+    return (a * v + b) / (c * v + d)
+
+
+def _lifts_of_psl2_mod_5(rng) -> dict:
+    """One lift in SL2(Z) of each of the 60 elements of PSL2(Z/5), keyed by
+    the element: the smaller of its entries mod 5 and their negatives."""
+    lifts = {}
+    while len(lifts) < 60:  # the order of PSL2(Z/5)
+        g = random_sl2(rng, 12)
+        entries = (g.a, g.b, g.c, g.d)
+        lifts.setdefault(min(tuple(x % 5 for x in entries), tuple(-x % 5 for x in entries)), g)
+    return lifts
+
+
+def _reduced_rr_value(prec):
+    """v = r(z) at a point z of the fundamental domain with trivial stabiliser."""
+    with mp.workprec(prec):
+        return rr_continued_fraction(mpc("0.1037", "1.41"), prec)
 
 
 def test_icosahedral_table_has_one_map_per_element_of_psl2_mod_5():
-    """60 maps keyed by the elements of PSL2(Z/5), their coefficients at
-    most 6, the bound the fixed-point replay is sized for."""
-    maps = _icosahedral_maps()
-    elements = {_pm_mod5(a, b, c, d) for a in range(5) for b in range(5)
-                for c in range(5) for d in range(5) if (a * d - b * c) % 5 == 1}
-    assert len(maps) == len(elements) == 60
-    assert set(maps) == elements
-    assert max(abs(x) for m in maps.values() for entry in m for x in entry) <= 6
+    """_replay_value gives one map per element of PSL2(Z/5): at v = r(z),
+    z reduced, another lift of the same element (negated, times a matrix of
+    Gamma(5)) gives the same value, and the 60 elements give 60 distinct
+    values, A5 acting faithfully on the Riemann sphere."""
+    rng = random.Random(46)
+    prec = CFG192.working_bits
+    v, minus_one = _reduced_rr_value(prec), UnimodularMatrix(-1, 0, 0, -1)
+    values = []
+    for gamma in _lifts_of_psl2_mod_5(rng).values():
+        other = minus_one @ gamma @ random_principal_congruence(rng, 5, bound=40)
+        with mp.workprec(prec):
+            got, again = _replay_value(gamma, v, {}), _replay_value(other, v, {})
+            assert abs(got - again) < mpf(2) ** (4 - prec) * abs(got), (gamma, other)
+        values.append(got)
+    with mp.workprec(prec):
+        assert min(abs(x - y) for i, x in enumerate(values) for y in values[:i]) > mpf("1e-3")
 
 
 def test_icosahedral_maps_are_a_homomorphism():
-    """M_(g1 g2) is proportional to M_g1 M_g2 exactly over Z[zeta_5], and
-    each M_g to the T and S rules multiplied along g's Euclid word."""
+    """_replay_value(g1 g2, v) is g1's word map applied to g2's word map of v,
+    and the word matrix of g1 g2 is proportional to the product of those of
+    g1 and g2 exactly over Z[zeta_5]."""
     rng = random.Random(43)
+    prec = CFG192.working_bits
+    v = _reduced_rr_value(prec)
     for _ in range(60):
         g1, g2 = random_sl2(rng, 60), random_sl2(rng, 60)
-        assert zeta5_proportional(_table_map(g1 @ g2),
-                                  zeta5_matmul(_table_map(g1), _table_map(g2))), (g1, g2)
-        assert zeta5_proportional(_table_map(g1), _word_matrix(g1)), g1
+        assert zeta5_proportional(_word_matrix(g1 @ g2),
+                                  zeta5_matmul(_word_matrix(g1), _word_matrix(g2))), (g1, g2)
+        with mp.workprec(prec):
+            got = _replay_value(g1 @ g2, v, {})
+        with mp.workprec(prec + 64):
+            want = _word_map(g1, _word_map(g2, v))
+            assert abs(got - want) < mpf(2) ** (4 - prec) * abs(want), (g1, g2)
+
+
+def test_icosahedral_maps_of_t_and_s_are_the_rr_rules():
+    """T gives v -> zeta v and S gives v -> (1 - phi v) / (phi + v), as
+    matrices and as values."""
+    phi = zeta5(0, 0, -1, -1)
+    assert zeta5_proportional(_word_matrix(translation(1)),
+                              (zeta5(0, 1), zeta5(), zeta5(), zeta5(1)))
+    assert zeta5_proportional(_word_matrix(S), (zeta5(0, 0, 1, 1), zeta5(1), zeta5(1), phi))
+    with mp.workprec(CFG192.working_bits):
+        v = rr_continued_fraction(mpc("0.21", "1.3"), CFG192.working_bits)
+        tol = mpf(2) ** (4 - CFG192.working_bits)
+        assert abs(_replay_value(translation(1), v, {}) - _rr_t_rule(v)) < tol * abs(v)
+        assert abs(_replay_value(S, v, {}) - _rr_s_rule(v)) < tol
+
+
+def test_maps_keeping_zero_and_infinity_are_the_closed_forms():
+    """The 10 elements with c = 0 mod 5 act as the closed forms _replay_value
+    applies as one mpc operation: [[zeta^(b d), 0], [0, 1]] for a = +-1 and
+    [[0, -zeta^(-b d)], [1, 0]] for a = +-2 mod 5, to full relative precision
+    at |v| ~ 2^-300.  The other 50 have no zero entry, so neither 0 nor
+    infinity maps to 0 or infinity."""
+    prec = CFG192.working_bits
+    with mp.workprec(prec):
+        tiny = rr_continued_fraction(mpc("0.1", "165.5"), prec)
+    kept = 0
+    for (a, b, c, d), gamma in _lifts_of_psl2_mod_5(random.Random(47)).items():
+        m = _word_matrix(gamma)
+        if c:
+            assert all(any(zeta5(*entry)) for entry in m), gamma
+            continue
+        kept += 1
+        turn = gamma.b * gamma.d % 5
+        with mp.workprec(prec):
+            got = _replay_value(gamma, tiny, {})
+        with mp.workprec(4 * prec):
+            zeta = mp.expjpi(mpf(2) / 5)
+            if a in (1, 4):
+                assert zeta5_proportional(m, (ZETA_POWERS[turn], zeta5(), zeta5(), zeta5(1)))
+                want = zeta ** turn * tiny
+            else:
+                minus = tuple(-x for x in ZETA_POWERS[-turn % 5])
+                assert zeta5_proportional(m, (zeta5(), minus, zeta5(1), zeta5()))
+                want = -zeta ** (-turn) / tiny
+            assert abs(got - want) < mpf(2) ** (1 - prec) * abs(want), gamma
+    assert kept == 10
 
 
 def test_icosahedral_maps_are_scalar_on_plus_minus_gamma_5():
     """The T and S rules multiplied along any gamma = +-I mod 5 give a
-    scalar matrix, and the table maps +-I to the identity."""
+    scalar matrix."""
     rng = random.Random(44)
     minus_one = UnimodularMatrix(-1, 0, 0, -1)
     for _ in range(30):
@@ -322,36 +402,32 @@ def test_icosahedral_maps_are_scalar_on_plus_minus_gamma_5():
         for gamma in (g, minus_one @ g):
             a, b, c, d = _word_matrix(gamma)
             assert b == c == zeta5() and a == d, gamma
-    assert zeta5_proportional(_table_map(minus_one), (zeta5(1), zeta5(), zeta5(), zeta5(1)))
 
 
-def test_icosahedral_maps_of_t_and_s_are_the_rr_rules():
-    """T gives v -> zeta v and S gives v -> (1 - phi v) / (phi + v), as
-    matrices and as values."""
-    phi = zeta5(0, 0, -1, -1)
-    assert zeta5_proportional(_table_map(translation(1)),
-                              (zeta5(0, 1), zeta5(), zeta5(), zeta5(1)))
-    assert zeta5_proportional(_table_map(S), (zeta5(0, 0, 1, 1), zeta5(1), zeta5(1), phi))
-    with mp.workprec(CFG192.working_bits):
-        v = rr_continued_fraction(mpc("0.21", "1.3"), CFG192.working_bits)
-        tol = mpf(2) ** (4 - CFG192.working_bits)
-        assert abs(_replay_value(translation(1), v) - _rr_t_rule(v)) < tol * abs(v)
-        assert abs(_replay_value(S, v) - _rr_s_rule(v)) < tol
-
-
-def test_maps_keeping_zero_and_infinity_are_the_closed_forms():
-    """The 10 maps with c = 0 mod 5 are those _replay_value applies as one
-    mpc operation: [[zeta^(b d), 0], [0, 1]] for a = +-1 and
-    [[0, -zeta^(-b d)], [1, 0]] for a = +-2 mod 5.  The other 50 have no
-    zero entry, so neither 0 nor infinity maps to 0 or infinity."""
-    for (a, b, c, d), m in _icosahedral_maps().items():
-        if c:
-            assert all(any(zeta5(*entry)) for entry in m), (a, b, c, d)
-        elif a in (1, 4):
-            assert zeta5_proportional(m, (ZETA_POWERS[b * d % 5], zeta5(), zeta5(), zeta5(1)))
-        else:
-            minus = tuple(-x for x in ZETA_POWERS[-b * d % 5])
-            assert zeta5_proportional(m, (zeta5(), minus, zeta5(1), zeta5()))
+def test_replay_value_is_the_word_map_for_every_element_of_psl2_mod_5():
+    """For one lift of each of the 60 elements of PSL2(Z/5), its negative and
+    a lift with entries near 10^6, the closed formula of _replay_value is the
+    Moebius map of the T and S rules multiplied along the Euclid word, to
+    2^(4 - prec) relative at v = r(z), z reduced; and for the 10 elements with
+    c = 0 mod 5, which keep 0 and infinity, at |v| ~ 2^-300 too."""
+    rng = random.Random(45)
+    lifts = _lifts_of_psl2_mod_5(rng)
+    minus_one = UnimodularMatrix(-1, 0, 0, -1)
+    prec = CFG192.working_bits
+    reduced = _reduced_rr_value(prec)
+    with mp.workprec(prec):
+        tiny = rr_continued_fraction(mpc("0.1", "165.5"), prec)
+    assert -302 < mp.mag(tiny) < -298
+    for gamma in lifts.values():
+        big = gamma @ random_principal_congruence(rng, 5, bound=100_000)
+        assert max(abs(big.a), abs(big.b), abs(big.c), abs(big.d)) > 10 ** 5, big
+        for g in (gamma, minus_one @ gamma, big):
+            for v in (reduced, tiny) if g.c % 5 == 0 else (reduced,):
+                with mp.workprec(prec):
+                    got = _replay_value(g, v, {})
+                with mp.workprec(prec + 64):
+                    want = _word_map(g, v)
+                    assert abs(got - want) < mpf(2) ** (4 - prec) * abs(want), (g, v)
 
 
 def test_rr_principal_congruence_invariance_sample():
@@ -596,7 +672,7 @@ def test_icosahedral_check_fails_on_a_perturbed_value(bits):
     threshold = mpf(2) ** -(bits // 2)
     for tau in SAMPLE_POINTS + [mpc(0, 1), mpc("0.123456", "1e-6")]:
         with mp.workprec(bits + GUARD_BITS):
-            x, jv = _rr_ctx(tau), _j_ctx(tau)
+            x, jv = _rr_ctx(tau, {}), _j_ctx(tau, {})
             assert _icosahedral_residual(x, jv) < threshold
             perturbed = x * (1 + mpf(2) ** -(bits // 4))
             assert _icosahedral_residual(perturbed, jv) >= threshold, tau
@@ -613,7 +689,7 @@ def test_klein_check_fails_on_a_perturbed_value_at_i(monkeypatch, bits):
     assert check_klein_relation(mpc(0, 1), cfg) < threshold
     exact = modfunc._rr_ctx
     monkeypatch.setattr(modfunc, "_rr_ctx",
-                        lambda tau: exact(tau) * (1 + mpf(2) ** -(bits // 4) / 3))
+                        lambda tau, memo: exact(tau, memo) * (1 + mpf(2) ** -(bits // 4) / 3))
     assert check_klein_relation(mpc(0, 1), cfg) > 2 ** 20 * threshold
 
 
