@@ -41,7 +41,6 @@ from .modgroup import (
     CosetTable,
     UnimodularMatrix,
     enumerate_cosets,
-    fundamental_domain_reduce,
     lift_vector_to_sl2,
     mobius_apply,
     normalize_vector,
@@ -57,6 +56,8 @@ from .quadforms import (
     CMOrder,
     QuadraticForm,
     class_number,
+    form_of_point,
+    fundamental_domain_reduce,
     reduce_form,
     reduced_forms,
 )

@@ -232,8 +232,8 @@ def _evaluate_classes(prepared: list, function: ModularFunctionSpec,
 def compute_conjugates(job: ClassFieldJob,
                        table: CosetTable | None = None) -> list:
     """Evaluate the function at every extended class, at the job's precision,
-    each series once per reduced point.  A value refused by its evaluator, an
-    rr replay too near a cusp, raises NonConvergenceError, with no retry."""
+    each series once per reduced point.  A series refused by its evaluator
+    for cancellation raises NonConvergenceError, with no retry."""
     _, _, prepared = _prepare(job, table)
     return _evaluate_classes(prepared, job.function, job.precision)
 

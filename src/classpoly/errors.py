@@ -16,8 +16,7 @@ class ClasspolyError(Exception):
 
 class NonConvergenceError(ClasspolyError):
     """A theta series lost more bits to cancellation than a reduced point
-    allows, or an rr value, at a point too near a cusp, has a magnitude past
-    the bound the rr evaluator allows."""
+    allows."""
 
 
 class PrecisionExhaustedError(ClasspolyError):

@@ -2,9 +2,10 @@
 
 Every evaluator runs inside an mpmath working-precision context of
 target_bits + GUARD_BITS, takes its series only at a point reduced to the
-fundamental domain (a form exactly, by Gauss reduction), carries the value
-back by the function's transformation law, and returns the mpc it computed
-there, its parts at the full working precision.  One kernel, _theta_ctx,
+fundamental domain (by Gauss reduction: every point is a form, a number the
+root of one exactly), carries the value back by the function's
+transformation law, and returns the mpc it computed there, its parts at the
+full working precision.  One kernel, _theta_ctx,
 sums the Jacobi triple product once, in fixed point: the level-5 value is
 q^(1/5) theta(q^5, q) / theta(q^5, q^2), j is Weber's (f^24 + 16)^3 / f^24
 with f^24 = 2^12 q (P(q^2)/P(q))^24 and P(q) = theta(q^3, q), and a Klein
@@ -31,8 +32,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, mpf_log, round_nearest, to_fixed, to_float
 
 from .errors import NonConvergenceError
-from .modgroup import fundamental_domain_reduce
-from .quadforms import QuadraticForm, reduce_form
+from .quadforms import QuadraticForm, form_of_point, reduce_form
 
 
 GUARD_BITS = 64  # working headroom above the target precision
@@ -53,6 +53,8 @@ class PrecisionConfig:
     def __post_init__(self):
         if self.target_bits < 16:
             raise ValueError("target_bits must be at least 16")
+        if self.max_escalations < 0:
+            raise ValueError("max_escalations must not be negative")
 
     @property
     def working_bits(self) -> int:
@@ -70,19 +72,14 @@ DEFAULT_PRECISION = PrecisionConfig()
 
 
 def _reduce_point(tau, level: int = 1):
-    """(point, gamma) with point in the fundamental domain and
-    level * tau = gamma point: a form exactly, by Gauss reduction, to the
-    reduced form (level * tau is the root of (a, level b, level^2 c) over its
-    content), any other point by the numeric loop, to an mpc."""
-    if isinstance(tau, QuadraticForm):
-        a, b, c = tau.a, level * tau.b, level * level * tau.c
-        g = math.gcd(a, b, c)
-        return reduce_form(QuadraticForm(a // g, b // g, c // g))
-    return fundamental_domain_reduce(mpc(tau) * level)
-
-
-def _root(point) -> mpc:
-    return point.to_mpc() if isinstance(point, QuadraticForm) else point
+    """(form, gamma), by Gauss reduction, with the reduced form's root in the
+    fundamental domain and level * tau = gamma root.  tau is a form or a
+    number, which form_of_point makes the root of a form exactly; level * tau
+    is the root of (a, level b, level^2 c) over its content."""
+    form = tau if isinstance(tau, QuadraticForm) else form_of_point(tau)
+    a, b, c = form.a, level * form.b, level * level * form.c
+    g = math.gcd(a, b, c)
+    return reduce_form(QuadraticForm(a // g, b // g, c // g))
 
 
 def _share(memo, key, compute):
@@ -234,19 +231,10 @@ def _replay_value(gamma, value: mpc, memo) -> mpc:
 def _rr_ctx(tau, memo) -> mpc:
     """r(tau) from r(z) at the reduced point, moved by _replay_value, which
     loses no bits, at the one working precision; r(z) and the constants are
-    shared in memo.  A value with c != 0 whose magnitude is past 2^limit or
-    below 2^-limit is refused as too near a cusp, limit being half the guard
-    bits, plus the bits lost to a tiny r(z) (up to the precision) once they
-    pass a quarter of the guard bits."""
+    shared in memo."""
     point, gamma = _reduce_point(tau)
-    value = _share(memo, (point, "rr"), lambda: _rr_product_ctx(_root(point)))
-    lost = -mp.mag(value)
-    limit = (min(lost, mp.prec) if lost > GUARD_BITS // 4 else 0) + GUARD_BITS // 2
-    value = _replay_value(gamma, value, memo)
-    if gamma.c and abs(mp.mag(value)) > limit:
-        raise NonConvergenceError(f"rr replay near a cusp: a value of 2^{mp.mag(value)} "
-                                  f"lies outside 2^-{limit} .. 2^{limit}")
-    return value
+    value = _share(memo, (point, "rr"), lambda: _rr_product_ctx(point.to_mpc()))
+    return _replay_value(gamma, value, memo)
 
 
 def _j_ctx(tau, memo) -> mpc:
@@ -254,7 +242,7 @@ def _j_ctx(tau, memo) -> mpc:
     f^24 = 2^12 q (P(q^2) / P(q))^24 with P(q) = prod (1-q^n) = theta(q^3, q),
     at the reduced point of tau (exact invariance), the whole value shared in memo."""
     point, _ = _reduce_point(tau)
-    return _share(memo, (point, "j"), lambda: _j_series(_root(point)))
+    return _share(memo, (point, "j"), lambda: _j_series(point.to_mpc()))
 
 
 def _j_series(z: mpc) -> mpc:
@@ -289,7 +277,7 @@ def _klein_ctx(forms, point, gamma, n: int, memo) -> mpc:
     prefactor e^(pi i t / n^2) q^(a1 (a1-n) / (2 n^2)) times theta(q, q_a), with
     q_a = e^(2 pi i (a1 z + a2) / n), where a in [0, n)^2, not (0, 0), keeps
     |q| <= |q_a| <= 1 and q_a != 1.  z, q and each theta are shared in memo."""
-    z = _share(memo, (point, "root"), lambda: _root(point))
+    z = _share(memo, (point, "root"), point.to_mpc)
     q = _share(memo, (point, "q"), lambda: mp.expjpi(2 * z))
     turns = slope = 0
     value = mpc(1)
@@ -308,8 +296,8 @@ def _klein_ctx(forms, point, gamma, n: int, memo) -> mpc:
 # ----------------------------------------------------------------------
 
 def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION, memo: dict | None = None) -> mpc:
-    """Level-5 continued-fraction value; reduces the point to the
-    fundamental domain, a form exactly, and moves the value by the matrix."""
+    """Level-5 continued-fraction value; reduces the point, as a form, to the
+    fundamental domain and moves the value by the matrix."""
     with mp.workprec(cfg.working_bits):
         return _rr_ctx(tau, memo)
 

@@ -2,9 +2,8 @@
 
 Provides the matrix type used everywhere else, coset tables for the image of
 +-Gamma_1(N) inside SL2(Z) (each coset's column mod N completed to an SL2(Z)
-matrix), Mobius action on points of the upper half-plane, and numeric
-reduction to the standard fundamental domain together with the matrix that
-undoes it.
+matrix), and Mobius action on points of the upper half-plane.  Reduction to
+the fundamental domain is Gauss reduction of forms, in quadforms.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from mpmath import mp, mpc, mpf
+from mpmath import mpc
 
 
 @dataclass(frozen=True)
@@ -154,31 +153,3 @@ def enumerate_cosets(n: int, tie_break: str = "min") -> CosetTable:
                  if gcd(gcd(a, c), n) == 1
                  and normalize_vector(a, c, n, tie_break) == (a, c))
     return CosetTable(level=n, reps=reps, tie_break=tie_break)
-
-
-# ----------------------------------------------------------------------
-# fundamental domain
-# ----------------------------------------------------------------------
-
-def fundamental_domain_reduce(tau):
-    """Move tau into the standard fundamental domain for SL2(Z).
-
-    Returns (tau_star, gamma) with tau = gamma tau_star, the convention of
-    quadforms.reduce_form.  Boundary ties (|tau| within 2^(-prec/2) of 1, at
-    the working precision) are accepted on either side.
-    """
-    z = mpc(tau)
-    if not z.imag > 0:  # refuses a NaN imaginary part too
-        raise ValueError("point must lie in the upper half-plane")
-    tol = mpf(2) ** (-(mp.prec // 2))
-    gamma = IDENTITY
-    for _ in range(64 * (mp.prec + 64)):
-        shift = int(mp.nint(z.real))
-        if shift:
-            z -= shift
-            gamma = gamma @ translation(shift)
-        if abs(z) ** 2 >= 1 - tol:
-            return z, gamma
-        z = -1 / z  # S is its own inverse as a Mobius map
-        gamma = gamma @ S
-    raise ValueError("fundamental domain reduction did not terminate")

@@ -4,8 +4,10 @@ A form (a, b, c) stands for a*x^2 + b*x*y + c*y^2; throughout the package
 forms are primitive and positive definite, so the discriminant b^2 - 4ac is
 negative.  A form is also the exact CM point it determines, its root
 (-b + sqrt(D)) / (2a) in the upper half-plane: a matrix acts on the point by
-acting on the form.  The order of discriminant D is Z[tau] where tau is a
-root of x^2 + b*x + c chosen in the upper half-plane.
+acting on the form.  A complex number, whose parts are dyadic, is the root
+of a form too, so reduction to the fundamental domain is Gauss reduction for
+every point.  The order of discriminant D is Z[tau] where tau is a root of
+x^2 + b*x + c chosen in the upper half-plane.
 """
 
 from __future__ import annotations
@@ -86,6 +88,30 @@ def reduce_form(form: QuadraticForm):
             return QuadraticForm(a, b, c), UnimodularMatrix(p, q, r, s)
         a, b, c = c, -b, a
         p, q, r, s = q, -p, s, -r
+
+
+def form_of_point(tau) -> QuadraticForm:
+    """The form whose root is tau, an mpc at the working precision, exactly.
+    Its parts are dyadic, x = X / s and y = Y / s with s = 2^k, so tau is the
+    root of (s^2, -2 s X, X^2 + Y^2), taken over its content; to_mpc gives
+    tau back to the last bit."""
+    z = mpc(tau)
+    if not (mp.isfinite(z) and z.imag > 0):
+        raise ValueError("point must lie in the upper half-plane")
+    e = min(z.real.exp, z.imag.exp, 0)
+    x, y, s = int(mp.ldexp(z.real, -e)), int(mp.ldexp(z.imag, -e)), 1 << -e
+    a, b, c = s * s, -2 * s * x, x * x + y * y
+    g = gcd(a, b, c)
+    return QuadraticForm(a // g, b // g, c // g)
+
+
+def fundamental_domain_reduce(tau):
+    """Move tau into the standard fundamental domain for SL2(Z), exactly:
+    Gauss reduction of form_of_point(tau).  Returns (tau_star, gamma) with
+    tau = gamma tau_star, tau_star the reduced root at the working
+    precision."""
+    reduced, gamma = reduce_form(form_of_point(tau))
+    return reduced.to_mpc(), gamma
 
 
 def reduced_forms(discriminant: int) -> list:

@@ -545,12 +545,12 @@ def test_rr_certifies_at_the_requested_precision_for_a_large_discriminant():
 ])
 def test_run_reduces_exact_points_without_the_numeric_loop(
         monkeypatch, disc, level, function, bits, degree, exponent):
-    """Every evaluation point of run() is a form, reduced exactly by Gauss
-    reduction; the numeric reduction loop is never entered."""
+    """Every evaluation point of run() is a form already, reduced by Gauss
+    reduction as it is; no number is ever converted to a form."""
     def refuse(tau):
-        raise AssertionError("numeric reduction called on an exact point")
+        raise AssertionError("an evaluation point of run() was a number")
 
-    monkeypatch.setattr(modfunc, "fundamental_domain_reduce", refuse)
+    monkeypatch.setattr(modfunc, "form_of_point", refuse)
     result = run(ClassFieldJob.create(disc, level, function, bits))
     assert result.polynomial.degree == degree
     assert result.exponent == exponent

@@ -6,6 +6,7 @@ rest, plus classical closed forms and transformation laws.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,9 @@ SAMPLE_POINTS = [
 def test_precision_config_validation():
     with pytest.raises(ValueError):
         PrecisionConfig(target_bits=8)
+    with pytest.raises(ValueError, match="max_escalations"):
+        PrecisionConfig(max_escalations=-1)
+    assert PrecisionConfig(max_escalations=0).max_escalations == 0
 
 
 def test_precision_escalation_grows_bits():
@@ -172,10 +176,10 @@ def test_rr_replay_keeps_its_precision_where_the_reduced_value_is_tiny():
 
 def test_rr_replay_returns_a_tiny_value_moved_by_a_translation():
     """A point high up reduces by a pure translation, which only multiplies
-    r by a root of unity and loses no bits: r there is about 2^-362, past the
-    near-cusp limit, and is returned, as the continued fraction at tau itself
-    gives it.  The form is the principal point of D = -160003, so a
-    level-5 class of that discriminant is evaluated there."""
+    r by a root of unity and loses no bits: r there is about 2^-362 and is
+    returned, as the continued fraction at tau itself gives it.  The form is
+    the principal point of D = -160003, so a level-5 class of that
+    discriminant is evaluated there."""
     high, form = mpc("0.1", "200"), QuadraticForm(1, 1, 40001)
     with mp.workprec(300):
         root = form.to_mpc()
@@ -187,38 +191,36 @@ def test_rr_replay_returns_a_tiny_value_moved_by_a_translation():
             assert abs(got - want) / abs(want) < mpf(2) ** -128
 
 
-def test_rr_replay_refuses_a_point_too_near_a_cusp():
+def test_rr_replay_is_right_at_a_point_very_near_a_cusp():
     """At (0.4123456789 + 1e-10 i) / 5 the reduced point has Im ~ 5390, so r
-    there is about 2^-9800 and the value at tau about 2^9772, far past the
-    near-cusp limit of the precision plus half the guard bits, and the point
-    is refused."""
+    there is about 2^-9800 and the value at tau about 2^9773; the exact
+    reduction and the exact map keep it good to 2^-179 against the reduced
+    Klein quotient at 1024 bits."""
+    spec = catalog_lookup("klein-quotient:1/5,0|2/5,0")
     with mp.workprec(53):
         tau = mpc("0.4123456789", "1e-10") / 5
-    with pytest.raises(NonConvergenceError, match="rr replay"):
-        eval_rr(tau, CFG128)
+    got = eval_rr(tau, CFG128)
+    want = spec.evaluate(tau, PrecisionConfig(target_bits=1024))
+    with mp.workprec(1100):
+        assert mp.mag(got) == 9773
+        assert abs(got - want) / abs(want) < mpf(2) ** -179
 
 
-def test_rr_replay_near_cusps_is_right_or_refused():
-    """Points just above rationals a/c: each 128-bit value is either refused
-    or good to 2^-120 against the reduced Klein quotient at 1024 bits, which
-    moves its parameters exactly and replays nothing; some are refused."""
+def test_rr_replay_near_cusps_is_right():
+    """Points just above rationals a/c: each 128-bit value is good to 2^-120
+    against the reduced Klein quotient at 1024 bits, which moves its
+    parameters exactly and replays nothing."""
     spec = catalog_lookup("klein-quotient:1/5,0|2/5,0")
     rng = random.Random(3)
-    refused = 0
     for _ in range(40):
         c = rng.randint(1, 12)
         x = rng.randint(0, c) / c + rng.uniform(-1e-6, 1e-6)
         with mp.workprec(53):
             tau = mpc(x, 10 ** rng.uniform(-7, -3))
-        try:
-            got = eval_rr(tau, CFG128)
-        except NonConvergenceError:
-            refused += 1
-            continue
+        got = eval_rr(tau, CFG128)
         want = spec.evaluate(tau, PrecisionConfig(target_bits=1024))
         with mp.workprec(1100):
             assert abs(got - want) / abs(want) < mpf(2) ** -120, tau
-    assert refused
 
 
 def test_replay_value_is_r_at_the_moved_point():
@@ -661,6 +663,19 @@ def test_klein_quotient_identity_residuals():
         for cfg in (CFG128, CFG256):
             residual = check_klein_relation(tau, cfg)
             assert residual < mpf(2) ** (-(cfg.target_bits // 2))
+
+
+def test_identity_checks_pass_quickly_at_a_point_2_to_the_minus_10000_above_a_cusp():
+    """0.3 + 2^-10000 i is the root of a form with 20,000-bit coefficients;
+    Gauss reduction takes it to a reduced point with Im past 2^9000, where
+    each series has a couple of terms, so both checks that validate runs
+    pass in a time that does not grow with 1/Im (about 0.02 s)."""
+    with mp.workprec(53):
+        tau = mpc(mpf("0.3"), mpf(2) ** -10000)
+    start = time.perf_counter()
+    residuals = check_icosahedral(tau, CFG128), check_klein_relation(tau, CFG128)
+    assert time.perf_counter() - start < 5
+    assert max(residuals) < mpf(2) ** -120
 
 
 @pytest.mark.parametrize("bits", [128, 256])

@@ -13,12 +13,12 @@ from classpoly.modgroup import (
     T,
     UnimodularMatrix,
     enumerate_cosets,
-    fundamental_domain_reduce,
     lift_vector_to_sl2,
     mobius_apply,
     normalize_vector,
     translation,
 )
+from classpoly.quadforms import fundamental_domain_reduce
 
 from _oracles import coset_count_formula, in_pm_gamma1, index_of_column, random_sl2
 

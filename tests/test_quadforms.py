@@ -1,9 +1,10 @@
 """Binary quadratic forms, reduction, and forms as exact CM points."""
 
 import random
+from math import gcd
 
 import pytest
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from classpoly.modgroup import (
     IDENTITY,
@@ -17,6 +18,7 @@ from classpoly.quadforms import (
     CMOrder,
     QuadraticForm,
     class_number,
+    form_of_point,
     reduce_form,
     reduced_forms,
 )
@@ -205,6 +207,35 @@ def test_point_validation():
     with mp.workprec(100):
         for _ in range(30):
             assert random_form(rng).to_mpc().imag > 0
+
+
+def test_a_number_is_the_root_of_its_form_exactly():
+    """form_of_point(z) is primitive and its root, taken at z's own
+    precision, is z to the last bit: for parts of either sign, zero real
+    parts, integers (a = 1), and parts far apart in magnitude."""
+    rng = random.Random(18)
+    for bits in (24, 53, 200):
+        with mp.workprec(bits):
+            points = [mpc(0, 1), mpc(10 ** 7, 1), mpc(-2 ** 70, 2 ** 60),
+                      mpc(0, mpf(2) ** -900), mpc("-0.3", "1e-100")]
+            for _ in range(200):
+                x = rng.getrandbits(bits) - 2 ** (bits - 1)
+                y = rng.getrandbits(bits) | 1
+                points.append(mpc(mp.ldexp(x, rng.randint(-300, 300)),
+                                  mp.ldexp(y, rng.randint(-300, 300))))
+            for z in points:
+                form = form_of_point(z)
+                assert gcd(gcd(form.a, form.b), form.c) == 1
+                assert form.to_mpc() == z, z
+    assert form_of_point(mpc(10 ** 7, 1)).coefficients() == (1, -2 * 10 ** 7, 10 ** 14 + 1)
+
+
+def test_a_number_off_the_upper_half_plane_has_no_form():
+    nan, inf = mpf("nan"), mpf("inf")
+    for z in (mpc(0, -1), mpc(0.3, 0), mpc(0.3, nan), mpc(nan, 1),
+              mpc(inf, 1), mpc(0.3, inf), mpc(-inf, inf)):
+        with pytest.raises(ValueError):
+            form_of_point(z)
 
 
 def test_neg_conjugate_and_numeric_agreement():
