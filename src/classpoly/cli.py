@@ -11,8 +11,8 @@ place where a ValueError means invalid input.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -222,21 +222,30 @@ def _print_compute_text(result: RunResult, args) -> None:
 # validate
 # ----------------------------------------------------------------------
 
-def _parse_point(text: str) -> mpc:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
-    try:
-        z = complex(cleaned)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse point {text!r}") from exc
-    if not cmath.isfinite(z):
-        raise ValueError(f"point {text!r} has a non-finite part")
+_DIGITS = r"\d(?:_?\d)*"
+_DECIMAL = rf"(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?"
+# complex()'s layout, i or j for the unit: a real part, an imaginary part or both, maybe in ()
+_POINT = (rf"(\()?(?=[^)])(?P<re>[+-]?{_DECIMAL})?(?:(?P<sign>(?(re)[+-]|[+-]?))"
+          rf"(?P<im>{_DECIMAL})?(?P<unit>[ij]))?(?(1)\))")
+
+
+def _parse_point(text: str, cfg: PrecisionConfig) -> mpc:
+    """The point, its decimal parts read at the working precision, so that
+    neither a double's bits nor its range bounds them."""
+    match = re.fullmatch(_POINT, text.strip().replace(" ", ""), re.IGNORECASE)
+    if match is None:
+        raise ValueError(f"cannot parse point {text!r}: write finite decimal parts, as in 0.3+1.7i")
+    with mp.workprec(cfg.working_bits):
+        imag = mpf(match["sign"] + (match["im"] or "1")) if match["unit"] else 0
+        z = mpc(mpf(match["re"] or 0), imag)
     if z.imag <= 0:
         raise ValueError("point must lie strictly above the real axis")
-    return mpc(z)
+    return z
 
 
 def _validate_inputs(args):
-    return _parse_point(args.point), PrecisionConfig(target_bits=args.precision)
+    cfg = PrecisionConfig(target_bits=args.precision)
+    return _parse_point(args.point, cfg), cfg
 
 
 def _cmd_validate(args, point: mpc, cfg: PrecisionConfig) -> int:

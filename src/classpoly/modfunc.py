@@ -1,7 +1,8 @@
 """Arbitrary-precision evaluation of the modular functions in the catalog.
 
-Every evaluator runs inside an mpmath working-precision context of
-target_bits + GUARD_BITS, takes its series only at a point reduced to the
+A value has one entry point, ModularFunctionSpec.evaluate: it enters the
+mpmath working-precision context of target_bits + GUARD_BITS and calls the
+entry's evaluator, which takes its series only at a point reduced to the
 fundamental domain (by Gauss reduction: every point is a form, a number the
 root of one exactly), carries the value back by the function's
 transformation law, and returns the mpc it computed there, its parts at the
@@ -15,8 +16,8 @@ the prefactors of a quotient gathered into one exponential; the level-5 value
 moves by a closed Moebius formula in gamma mod 5, the icosahedral action of
 SL2(Z) on it (Duke, 2005).  Each evaluator takes a memo, a dict its caller
 keeps for one attempt: each series is summed once per exact reduced form and
-working precision and shared by the calls at that form; with no memo, every
-call sums its own.
+working precision and shared by the calls at that form; a call of evaluate
+with no memo gets a fresh one.
 
 The q^e convention throughout is q^e = exp(2*pi*i*e*tau).
 """
@@ -83,11 +84,8 @@ def _reduce_point(tau, level: int = 1):
 
 
 def _share(memo, key, compute):
-    """memo's value for key at this working precision, computed on a miss, or
-    compute() when memo is None.  key must fix that value: an exact point, not
-    a rounded one."""
-    if memo is None:
-        return compute()
+    """memo's value for key at this working precision, computed on a miss.
+    key must fix that value: an exact point, not a rounded one."""
     key = (key, mp.prec)
     if key not in memo:
         memo[key] = compute()
@@ -95,7 +93,7 @@ def _share(memo, key, compute):
 
 
 # ----------------------------------------------------------------------
-# the one series kernel and the evaluators built on it (callers hold the
+# the one series kernel and the evaluators built on it (evaluate holds the
 # working-precision context)
 # ----------------------------------------------------------------------
 
@@ -292,23 +290,6 @@ def _klein_ctx(forms, point, gamma, n: int, memo) -> mpc:
 
 
 # ----------------------------------------------------------------------
-# public evaluators
-# ----------------------------------------------------------------------
-
-def eval_rr(tau, cfg: PrecisionConfig = DEFAULT_PRECISION, memo: dict | None = None) -> mpc:
-    """Level-5 continued-fraction value; reduces the point, as a form, to the
-    fundamental domain and moves the value by the matrix."""
-    with mp.workprec(cfg.working_bits):
-        return _rr_ctx(tau, memo)
-
-
-def eval_j(tau, cfg: PrecisionConfig = DEFAULT_PRECISION, memo: dict | None = None) -> mpc:
-    """Klein j-function (1728 at i, 0 at the hexagonal point)."""
-    with mp.workprec(cfg.working_bits):
-        return _j_ctx(tau, memo)
-
-
-# ----------------------------------------------------------------------
 # identity checks
 # ----------------------------------------------------------------------
 
@@ -337,9 +318,9 @@ def _icosahedral_residual(x: mpc, jv: mpc) -> mpf:
 def check_icosahedral(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     """The icosahedral relation between r(tau) and j(tau), as its relative
     backward error (_icosahedral_residual).  Returns an mpf."""
+    r, j = eval_rr(tau, cfg), eval_j(tau, cfg)
     with mp.workprec(cfg.working_bits):
-        residual = _icosahedral_residual(_rr_ctx(tau, None), _j_ctx(tau, None))
-    return residual
+        return _icosahedral_residual(r, j)
 
 
 def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
@@ -347,10 +328,9 @@ def check_klein_relation(tau, cfg: PrecisionConfig = DEFAULT_PRECISION):
     and the klein-quotient:1/5,0|2/5,0 entry at tau, which moves its Klein
     parameters from the reduced point of 5 tau instead.  Returns an mpf."""
     quotient = catalog_lookup("klein-quotient:1/5,0|2/5,0").evaluate(tau, cfg)
+    r = eval_rr(tau, cfg)
     with mp.workprec(cfg.working_bits):
-        r_value = _rr_ctx(tau, None)
-        residual = abs(r_value - quotient) / abs(r_value)
-    return residual
+        return abs(r - quotient) / abs(r)
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +344,8 @@ class ModularFunctionSpec:
     level: the congruence level its invariance group sits inside.
     has_rational_coefficients: whether its Fourier coefficients are rational,
     which the conjugate pipeline requires.
+    evaluator: (tau, memo) -> the value at tau, at the working precision
+    that evaluate holds.
     """
 
     name: str
@@ -374,10 +356,12 @@ class ModularFunctionSpec:
 
     def evaluate(self, tau, cfg: PrecisionConfig = DEFAULT_PRECISION,
                  memo: dict | None = None) -> mpc:
-        """The value at tau.  memo, a dict the caller keeps for one attempt at
-        one precision, shares each series among the calls at the same exact
-        reduced point; a fresh one is used when it is None."""
-        return self.evaluator(tau, cfg, {} if memo is None else memo)
+        """The value at tau, its parts at cfg's working precision, the one
+        place a value enters that precision.  memo, a dict the caller keeps
+        for one attempt at one precision, shares each series among the calls
+        at the same exact reduced point; a fresh one is used when it is None."""
+        with mp.workprec(cfg.working_bits):
+            return self.evaluator(tau, {} if memo is None else memo)
 
 
 _BASE_CATALOG = (
@@ -385,17 +369,21 @@ _BASE_CATALOG = (
         name="rogers-ramanujan",
         level=5,
         has_rational_coefficients=True,
-        evaluator=eval_rr,
+        evaluator=_rr_ctx,
         description="level-5 continued-fraction value r(tau)",
     ),
     ModularFunctionSpec(
         name="j",
         level=1,
         has_rational_coefficients=True,
-        evaluator=eval_j,
+        evaluator=_j_ctx,
         description="Klein j-function",
     ),
 )
+
+# eval_rr(tau, cfg, memo): r(tau), moved from the reduced point by the
+# matrix; eval_j(tau, cfg, memo): Klein j (1728 at i, 0 at the hexagonal point)
+eval_rr, eval_j = (entry.evaluate for entry in _BASE_CATALOG)
 
 _KLEIN_PREFIX = "klein-quotient:"
 
@@ -413,17 +401,11 @@ def _parse_klein_quotient(name: str) -> ModularFunctionSpec:
     level = math.lcm(p1.denominator, p2.denominator, q1.denominator, q2.denominator)
     rational = p2 == 0 and q2 == 0 and level % 2 == 1
     forms = ((1, (int(p1 * level), int(p2 * level))), (-1, (int(q1 * level), int(q2 * level))))
-
-    def evaluator(tau, cfg: PrecisionConfig = DEFAULT_PRECISION, memo: dict | None = None) -> mpc:
-        with mp.workprec(cfg.working_bits):
-            point, gamma = _reduce_point(tau, level)
-            return _klein_ctx(forms, point, gamma, level, memo)
-
     return ModularFunctionSpec(
         name=name,
         level=level,
         has_rational_coefficients=rational,
-        evaluator=evaluator,
+        evaluator=lambda tau, memo: _klein_ctx(forms, *_reduce_point(tau, level), level, memo),
         description=(
             f"quotient of Klein forms at ({p1},{p2}) and ({q1},{q2}), "
             f"argument scaled by {level} and reduced to the fundamental "

@@ -438,6 +438,92 @@ def squarefree_kernel(p: IntPolynomial) -> IntPolynomial:
 
 
 # ----------------------------------------------------------------------
+# splitting at primes that split completely, on plain ints mod l
+# ----------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def split_primes(disc: int, level: int, count: int, above: int) -> list:
+    """The count least primes l > above, prime to level * disc, with
+    l = x^2 + b x y + c y^2 on the principal form (1, b, c) of disc, y a
+    nonzero multiple of level and x = +-1 (mod level).  l is then the norm
+    of x - y omega, omega the root of the principal form, an element of the
+    order = +-1 mod level, so l splits completely in the class field mod
+    level of the order, up to +-1, where the values at the CM points of a
+    function of this level live (Cho, J. Number Theory 130, 2010; for
+    level 1, Cox, Primes of the form x^2 + ny^2, Thm. 9.4)."""
+    b = disc % 2
+    c = (b * b - disc) // 4
+    bound, found = 4 * above + 64, set()
+    while len(found) < count:
+        for y in range(level, isqrt(4 * bound // -disc) + 1, level):
+            for x in range(-isqrt(bound) - y, isqrt(bound) + y + 1):
+                ell = x * x + b * x * y + c * y * y
+                if (ell <= bound and ell > above and x % level in (1 % level, -1 % level)
+                        and (level * disc) % ell and _is_prime(ell)):
+                    found.add(ell)
+        bound *= 4
+    return sorted(found)[:count]
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod_mod(a: list, m: list, ell: int):
+    """Quotient and remainder of a by m in F_ell[x] (lists, ascending, m trimmed)."""
+    a, inverse, quotient = [x % ell for x in a], pow(m[-1], -1, ell), []
+    for top in range(len(a) - 1, len(m) - 2, -1):
+        factor = a[top] * inverse % ell
+        quotient.append(factor)
+        for k, mk in enumerate(m, top - len(m) + 1):
+            a[k] = (a[k] - factor * mk) % ell
+    return quotient[::-1], _trim(a[: len(m) - 1])
+
+
+def _mul_mod(a: list, b: list, m: list, ell: int) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return _divmod_mod(out, m, ell)[1]
+
+
+def _squarefree_part_mod(f: list, ell: int) -> list:
+    """f / gcd(f, f') in F_ell[x], f monic: its radical when deg f < ell."""
+    a, b = _trim([x % ell for x in f]), _trim([k * x % ell for k, x in enumerate(f)][1:])
+    while b:
+        a, b = b, _divmod_mod(a, b, ell)[1]
+    return _divmod_mod(f, a, ell)[0]
+
+
+def split_prime_failures(coeffs: list, disc: int, level: int) -> list:
+    """The primes of split_primes at which the monic integer polynomial with
+    these ascending coefficients does not split into linear factors: a
+    polynomial whose roots are the CM values of a function of this level
+    splits at each, so x^l = x modulo its squarefree part s mod l.  Three
+    primes above the degree are used, or twelve for degree 2 and below,
+    where a wrong polynomial splits by chance more often."""
+    degree = len(coeffs) - 1
+    failures = []
+    for ell in split_primes(disc, level, 3 if degree > 2 else 12, degree):
+        s = _squarefree_part_mod(coeffs, ell)
+        x = _divmod_mod([0, 1], s, ell)[1]
+        power, base, e = [1], x, ell
+        while e:
+            if e & 1:
+                power = _mul_mod(power, base, s, ell)
+            base, e = _mul_mod(base, base, s, ell), e >> 1
+        if power != x:
+            failures.append(ell)
+    return failures
+
+
+# ----------------------------------------------------------------------
 # the table subcommand's output, rendered as one whole document
 # ----------------------------------------------------------------------
 

@@ -32,6 +32,7 @@ from _oracles import (
     CLASS_NUMBER_TABLE,
     random_principal_congruence,
     random_sl2,
+    split_prime_failures,
 )
 from frozen_values import GOLDEN_MINUS_52_LEVEL_5_DESC, HILBERT_MINUS_52_ASC
 
@@ -316,3 +317,21 @@ def test_criterion_8_exactness(run_52, run_68, run_hilbert_52, run_hilbert_8):
             f"|irr(value)|={mp.nstr(residual, 3)}"
         )
     _report("8 exact power and root certificates", ok, "; ".join(detail))
+
+
+def test_completed_runs_split_at_their_split_primes(run_52, run_68, run_hilbert_52,
+                                                    run_hilbert_8):
+    """No numerics: each irreducible factor splits into linear factors mod
+    primes that split completely in its class field.  The check has teeth:
+    one changed coefficient fails it, and so does the polynomial of the
+    neighbouring discriminant at the same level."""
+    runs = (run_52, run_68, run_hilbert_52, run_hilbert_8)
+    failures = {result.job.order.disc: split_prime_failures(
+        result.irreducible.coeffs, result.job.order.disc, result.job.level) for result in runs}
+    changed = list(run_52.irreducible.coeffs)
+    changed[5] += 1
+    ok = (not any(failures.values())
+          and split_prime_failures(changed, -52, 5) != []
+          and split_prime_failures(run_68.irreducible.coeffs, -52, 5) != []
+          and split_prime_failures(run_52.irreducible.coeffs, -68, 5) != [])
+    _report("split-prime oracle on every completed run", ok, f"failing primes {failures}")

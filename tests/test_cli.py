@@ -17,10 +17,11 @@ from classpoly.conjugates import (
     compute_conjugates,
 )
 from classpoly.errors import CrossCheckError, PoleError, PrecisionExhaustedError
+from classpoly.modfunc import PrecisionConfig
 from classpoly.polyalgebra import IntPolynomial, eval_poly
 from classpoly.quadforms import CMOrder
 
-from _oracles import render_table_reference
+from _oracles import render_table_reference, split_prime_failures
 from frozen_values import GOLDEN_MINUS_52_LEVEL_5_DESC
 
 GOLDEN_ARGS = [
@@ -261,9 +262,31 @@ def test_validate_passes_near_the_real_line(capsys):
 def test_validate_passes_at_a_point_very_near_a_cusp(capsys):
     """Just above the cusp 3/10 the rr value is huge (about 2^18129440566 at
     0.3 + 1e-12 i), and the exact reduction and matrix replay lose no bits
-    there, so both checks pass with no refusal."""
-    for point in ("0.3+1e-12i", "0.3+1e-100i", "0.3+1e-300i"):
+    there, so both checks pass with no refusal.  The point is read at the
+    working precision, so 1e-400, below a double's range, is not 0."""
+    for point in ("0.3+1e-12i", "0.3+1e-100i", "0.3+1e-300i", "0.3+1e-400i"):
         _assert_validate_passes(capsys, point)
+
+
+@pytest.mark.parametrize("text", ["i", "1.7i", "0.3+1.7i", " 0.3 + 1.7 i ", "(-0.5+J)",
+                                  "-.5e-3+2_0i", "1E2+3e-2j"])
+def test_validate_reads_every_point_layout_complex_reads(text):
+    cfg = PrecisionConfig(target_bits=128)
+    want = complex(text.replace(" ", "").replace("i", "j"))
+    got = cli._parse_point(text, cfg)
+    assert abs(got - want) < 2.0 ** -50 * abs(want)
+
+
+def test_validate_keeps_every_digit_of_the_point(capsys):
+    """A 25-digit real part is read at the working precision, past a
+    double's 17 digits."""
+    cfg = PrecisionConfig(target_bits=128)
+    point = cli._parse_point("0.1234567890123456789012345+0.5i", cfg)
+    with mp.workprec(cfg.working_bits):
+        exact = mpf(1234567890123456789012345) / 10 ** 25
+        assert abs(point.real - exact) < mpf(2) ** -190
+        assert abs(mpf(0.1234567890123456789012345) - exact) > mpf(2) ** -60
+    _assert_validate_passes(capsys, "0.1234567890123456789012345+0.5i")
 
 
 def _assert_validate_passes(capsys, point):
@@ -277,8 +300,10 @@ def _assert_validate_passes(capsys, point):
 
 
 def test_validate_rejects_bad_points(capsys):
-    rc, _, err = run_cli(capsys, "validate", "--point", "zebra")
-    assert rc == 2 and "error" in err
+    """Text that is no point exits 2 with a message, not 4 or a traceback."""
+    for point in ("zebra", "abc", "0.3+-1i", "nan+1i", "", "(0.3+1i"):
+        rc, out, err = run_cli(capsys, "validate", "--point", point)
+        assert rc == 2 and out == "" and err.startswith("error:"), point
     rc, _, _ = run_cli(capsys, "validate", "--point", "0.3-1.7i")
     assert rc == 2
 
@@ -464,12 +489,17 @@ _CERTIFICATE_FAILURE = re.compile(
 @pytest.mark.parametrize("disc, level, function", _CONTRACT_CASES)
 def test_exit_code_contract_at_the_cli_defaults(capsys, disc, level, function):
     """A valid job at the default precision certifies its polynomial, or
-    exits 3 naming the certificate that failed last; never 4."""
-    rc, _, err = run_cli(capsys, "compute", "--disc", str(disc), "--level",
-                         str(level), "--function", function)
+    exits 3 naming the certificate that failed last; never 4.  A certified
+    j polynomial splits at the split primes of its class field (the rr and
+    Klein ones, of degree up to 180, would add about 1 s to the sweep)."""
+    rc, out, err = run_cli(capsys, "compute", "--disc", str(disc), "--level",
+                           str(level), "--function", function, "--format", "json")
     assert rc in (0, 3), err
     if rc == 3:
         assert _CERTIFICATE_FAILURE.search(err), err
+    elif function == "j":
+        irreducible = json.loads(out)["polynomial"]["irreducible_coefficients_ascending"]
+        assert split_prime_failures([int(c) for c in irreducible], disc, level) == []
 
 
 def test_exit_code_precision_exhaustion(capsys, monkeypatch):

@@ -45,7 +45,7 @@ from classpoly.polyalgebra import (
 )
 from classpoly.quadforms import CMOrder, QuadraticForm, reduce_form, reduced_forms
 
-from _oracles import assemble_reference, random_principal_congruence
+from _oracles import assemble_reference, random_principal_congruence, split_prime_failures
 from frozen_values import (
     GOLDEN_MINUS_52_LEVEL_5_ASC,
     HILBERT_MINUS_52_ASC,
@@ -311,7 +311,9 @@ def test_cells_with_one_orbit_key_share_their_value(disc, level, function, bits,
                 else:
                     assert abs(v - first) < mpf(2) ** -bits * max(1, abs(first))
     if (disc, level, function) != (-391, 5, "j"):
-        assert run(job).exponent == multiplicity
+        result = run(job)
+        assert result.exponent == multiplicity
+        assert split_prime_failures(result.irreducible.coeffs, disc, level) == []
 
 
 _KLEIN_5 = "klein-quotient:1/5,0|2/5,0"
@@ -371,13 +373,13 @@ def test_no_shared_series_outlive_a_failed_compute(monkeypatch):
     """An evaluator that raises partway leaves no memo behind: a later
     single-point call at a form already summed sums its series again."""
     job = ClassFieldJob.create(-52, 5, "j", 1024)
-    seen = []
+    seen, exact = [], job.function.evaluator
 
-    def fifth_call_fails(tau, cfg, memo):
+    def fifth_call_fails(tau, memo):
         seen.append(tau)
         if len(seen) == 5:
             raise NonConvergenceError("synthetic")
-        return modfunc.eval_j(tau, cfg, memo)
+        return exact(tau, memo)
 
     failing = replace(job, function=replace(job.function, evaluator=fifth_call_fails))
     with pytest.raises(NonConvergenceError):
@@ -432,6 +434,7 @@ def test_run_golden_polynomial():
     assert result.escalations == 0
     assert result.reality_shortcut is True
     assert result.max_rounding_residual < mpf("1e-20")
+    assert split_prime_failures(result.irreducible.coeffs, -52, 5) == []
 
 
 def test_run_classical_degree_two_invariant():
@@ -462,7 +465,8 @@ def test_run_complex_generator_doubles_the_degree():
 def test_level_seven_klein_quotient_rounds():
     """Level 7 through the reduced Klein-quotient evaluator: all 85
     coefficients of the degree-84 product round cleanly at 256 bits, and
-    run() certifies the polynomial as squarefree."""
+    run() certifies the polynomial as squarefree; it splits at the primes
+    that split completely in the class field mod 7."""
     result = run(ClassFieldJob.create(-84, 7, "klein-quotient:1/7,0|2/7,0", 256))
     assert len(result.data) == 84
     assert result.reality_shortcut is True
@@ -474,6 +478,7 @@ def test_level_seven_klein_quotient_rounds():
     assert result.exponent == 1
     assert result.irreducible == polynomial
     assert result.escalations == 0
+    assert split_prime_failures(polynomial.coeffs, -84, 7) == []
     # a quotient of Siegel functions takes unit values
     assert polynomial.coeffs[0] == 1
 
@@ -602,9 +607,8 @@ def test_run_rejects_mismatched_table():
 
 
 def _constant_spec(value) -> ModularFunctionSpec:
-    def evaluate(tau, cfg, memo):
-        with mp.workprec(cfg.working_bits):
-            return mpc(value)
+    def evaluate(tau, memo):
+        return mpc(value)
 
     return ModularFunctionSpec(
         name="synthetic-constant",
@@ -616,8 +620,8 @@ def _constant_spec(value) -> ModularFunctionSpec:
 
 def _failing_spec(calls: list) -> ModularFunctionSpec:
     """Never converges; records the target bits of every call."""
-    def evaluate(tau, cfg, memo):
-        calls.append(cfg.target_bits)
+    def evaluate(tau, memo):
+        calls.append(mp.prec - modfunc.GUARD_BITS)
         raise NonConvergenceError("synthetic")
 
     return ModularFunctionSpec(

@@ -702,9 +702,13 @@ def test_klein_check_fails_on_a_perturbed_value_at_i(monkeypatch, bits):
     cfg = PrecisionConfig(target_bits=bits)
     threshold = mpf(2) ** -(bits // 2)
     assert check_klein_relation(mpc(0, 1), cfg) < threshold
-    exact = modfunc._rr_ctx
-    monkeypatch.setattr(modfunc, "_rr_ctx",
-                        lambda tau, memo: exact(tau, memo) * (1 + mpf(2) ** -(bits // 4) / 3))
+    exact = modfunc.eval_rr
+
+    def perturbed(tau, cfg):
+        with mp.workprec(cfg.working_bits):
+            return exact(tau, cfg) * (1 + mpf(2) ** -(bits // 4) / 3)
+
+    monkeypatch.setattr(modfunc, "eval_rr", perturbed)
     assert check_klein_relation(mpc(0, 1), cfg) > 2 ** 20 * threshold
 
 
