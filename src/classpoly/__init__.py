@@ -55,9 +55,7 @@ from .polyalgebra import (
 from .quadforms import (
     CMOrder,
     QuadraticForm,
-    class_number,
     form_of_point,
-    fundamental_domain_reduce,
     reduce_form,
     reduced_forms,
 )

@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -27,15 +28,14 @@ from .conjugates import (
     walk_grid,
 )
 from .errors import (
+    ClasspolyError,
     CrossCheckError,
     NonConvergenceError,
-    PoleError,
-    PowerCheckError,
     PrecisionExhaustedError,
-    RoundingFailureError,
     nstr,
 )
 from .modfunc import (
+    DEFAULT_PRECISION,
     PrecisionConfig,
     catalog_entries,
     check_icosahedral,
@@ -48,14 +48,6 @@ from .quadforms import FORM_TEXT, CMOrder, reduced_forms
 # ----------------------------------------------------------------------
 # shared rendering helpers
 # ----------------------------------------------------------------------
-
-def _matrix_json(m):
-    return [[m.a, m.b], [m.c, m.d]]
-
-
-def _rows_json(rows):
-    return [list(rows[0]), list(rows[1])]
-
 
 def _digits(x: mpf, bits: int) -> str:
     """A value's part to the decimal digits its target bits carry."""
@@ -83,11 +75,7 @@ def _class_data_json(result: RunResult):
         "coset_count": result.table.size(),
         "tie_break": result.table.tie_break,
         "class_count": result.class_count,
-        "unit_group": {
-            "matrix_count": result.cartan.matrix_count,
-            "torsion_count": result.cartan.torsion_count,
-            "quotient": result.cartan.quotient,
-        },
+        "unit_group": asdict(result.cartan),
     }
 
 
@@ -101,8 +89,8 @@ def _conjugates_json(result: RunResult):
                 "i": d.i,
                 "k": d.k,
                 "form": list(d.form.coefficients()),
-                "alpha_mod_level": _rows_json(d.alpha),
-                "lifted": _matrix_json(d.lifted),
+                "alpha_mod_level": [list(row) for row in d.alpha],
+                "lifted": [list(row) for row in d.lifted.rows()],
                 "eval_point": {
                     "rational_part": str(Fraction(-pt.b, two_a)),
                     "radical_coefficient": str(Fraction(1, two_a)),
@@ -331,11 +319,7 @@ def _cmd_table(args, order: CMOrder, table) -> int:
             "class_data": {
                 "reduced_forms": [list(f.coefficients()) for f in forms],
                 "coset_table": table.to_json_dict(),
-                "unit_group": {
-                    "matrix_count": cartan.matrix_count,
-                    "torsion_count": cartan.torsion_count,
-                    "quotient": cartan.quotient,
-                },
+                "unit_group": asdict(cartan),
                 "grid": None,
                 "class_count": passing,
             },
@@ -432,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--disc", type=int, required=True, help="negative discriminant")
     compute.add_argument("--level", type=int, required=True)
     compute.add_argument("--function", required=True, help="catalog name")
-    compute.add_argument("--precision", type=int, default=256, help="target bits")
+    compute.add_argument("--precision", type=int, default=DEFAULT_PRECISION.target_bits,
+                         help="target bits")
     compute.add_argument("--format", choices=("text", "json"), default="text")
     compute.add_argument("--emit-conjugates", action="store_true")
     compute.add_argument("--emit-table", action="store_true")
@@ -476,10 +461,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, *inputs)
-    except (PrecisionExhaustedError, NonConvergenceError, RoundingFailureError) as exc:
+    except (PrecisionExhaustedError, NonConvergenceError) as exc:
         sys.stderr.write(f"precision exhausted: {exc}\n")
         return 3
-    except (CrossCheckError, PowerCheckError, PoleError) as exc:
+    except ClasspolyError as exc:
         sys.stderr.write(f"internal cross-check failed: {exc}\n")
         return 4
     except ValueError as exc:

@@ -112,7 +112,7 @@ class ClassFieldJob:
 
     @classmethod
     def create(cls, discriminant: int, level: int, function_name: str,
-               target_bits: int = 256) -> "ClassFieldJob":
+               target_bits: int = DEFAULT_PRECISION.target_bits) -> "ClassFieldJob":
         return cls(
             order=CMOrder.from_discriminant(discriminant),
             level=level,

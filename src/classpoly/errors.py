@@ -45,4 +45,7 @@ class PowerCheckError(ClasspolyError):
 
 
 class PoleError(ClasspolyError):
-    """A function value is too large to be a finite special value."""
+    """A value above 2^(target_bits/2) in modulus, refused by the pole guard
+    of conjugates._evaluate_classes.  Finite values get that large (at a low
+    precision, or j at a large discriminant), so the exit 4 it gives a valid
+    job is a known defect, ROADMAP item 2."""

@@ -39,14 +39,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def leading(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def constant(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
 
@@ -63,8 +55,6 @@ class IntPolynomial:
             return IntPolynomial(c * other for c in self.coeffs)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -208,8 +198,6 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
         raise ValueError("zero polynomial has no squarefree part")
     if not p.is_monic():
         raise ValueError("expected a monic polynomial")
-    if p.degree == 0:
-        return p
     dp = p.derivative()
     norm_bits = (sum(c * c for c in p.coeffs).bit_length() + 1) // 2
     bound_bits = p.degree + norm_bits + 1

@@ -105,15 +105,6 @@ def form_of_point(tau) -> QuadraticForm:
     return QuadraticForm(a // g, b // g, c // g)
 
 
-def fundamental_domain_reduce(tau):
-    """Move tau into the standard fundamental domain for SL2(Z), exactly:
-    Gauss reduction of form_of_point(tau).  Returns (tau_star, gamma) with
-    tau = gamma tau_star, tau_star the reduced root at the working
-    precision."""
-    reduced, gamma = reduce_form(form_of_point(tau))
-    return reduced.to_mpc(), gamma
-
-
 def reduced_forms(discriminant: int) -> list:
     """All reduced primitive positive definite forms of the discriminant,
     in lexicographic (a, b, c) order, the order the loops emit them in."""
@@ -133,10 +124,6 @@ def reduced_forms(discriminant: int) -> list:
                 continue
             out.append(QuadraticForm(a, b, c))
     return out
-
-
-def class_number(discriminant: int) -> int:
-    return len(reduced_forms(discriminant))
 
 
 def _conductor(discriminant: int) -> int:

@@ -382,7 +382,7 @@ def primitive_positive(p: IntPolynomial) -> IntPolynomial:
     if p.is_zero():
         return p
     g = content(p)
-    sign = 1 if p.leading() > 0 else -1
+    sign = 1 if p.coeffs[-1] > 0 else -1
     return IntPolynomial(c * sign // g for c in p.coeffs)
 
 

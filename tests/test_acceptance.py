@@ -250,8 +250,8 @@ def test_criterion_5_tie_break_independence():
 # ----------------------------------------------------------------------
 
 def test_criterion_6_unit_property(run_52, run_68):
-    c52 = run_52.irreducible.constant()
-    c68 = run_68.irreducible.constant()
+    c52 = run_52.irreducible.coeffs[0]
+    c68 = run_68.irreducible.coeffs[0]
     ok = abs(c52) == 1 and abs(c68) == 1
     _report(
         "6 unit constant terms at -52 and -68",

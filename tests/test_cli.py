@@ -22,7 +22,7 @@ from classpoly.polyalgebra import IntPolynomial, eval_poly
 from classpoly.quadforms import CMOrder
 
 from _oracles import render_table_reference, split_prime_failures
-from frozen_values import GOLDEN_MINUS_52_LEVEL_5_DESC
+from frozen_values import GOLDEN_MINUS_52_LEVEL_5_ASC, GOLDEN_MINUS_52_LEVEL_5_DESC
 
 GOLDEN_ARGS = [
     "compute",
@@ -82,10 +82,13 @@ def test_compute_text_output(capsys):
     assert "reality shortcut  yes" in out
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_example():
     """The headline command of README.md and the lines of the text block
     printed under it."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     command = "classpoly " + " ".join(GOLDEN_ARGS)
     after = readme.split(command + "\n```\n", 1)[1]
     block = after.split("```\n", 1)[1].split("```\n", 1)[0]
@@ -106,6 +109,17 @@ def test_readme_example_matches_the_compute_output(capsys):
             assert any(p.startswith(head) for p in printed), line
         else:
             assert line in printed, line
+
+
+def test_readme_python_example_prints_the_golden_run(capsys):
+    """The README's Python API block runs as written and prints the golden
+    polynomial, exponent 1, quotient 12, the reduced forms and one line per
+    conjugate."""
+    block = README.read_text().split("## Python API\n\n```python\n", 1)[1]
+    exec(compile(block.split("```\n", 1)[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:3] == [str(IntPolynomial(GOLDEN_MINUS_52_LEVEL_5_ASC)), "1", "12"]
+    assert len(printed) == 4 + 24
 
 
 def test_compute_emit_conjugates(capsys):
@@ -461,39 +475,56 @@ def _discriminant_draw(lowest: int, count: int) -> list:
     return sorted(draw, reverse=True)
 
 
-# The plain j-invariant at level 1 trips the pole guard on these finite
-# values (ROADMAP item 2); the marks go when that item lands.
+# The pole guard trips on finite values (ROADMAP item 2): for the plain
+# j-invariant at level 1 at these discriminants, and for the last four cases
+# at a low but valid precision.  The marks go when that item lands.
+_POLE_ERROR = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: PoleError on finite values")
 _J_POLE_ERRORS = {
     -2847, -2684, -2668, -2604, -2584, -2559, -2527, -2520, -2444, -2411, -2299,
     -2212, -2103, -2087, -1955, -1912, -1860, -1859, -1856, -1835, -1628, -1248,
 }
 _SMALL_DRAW = _discriminant_draw(-400, 12)
+
+
+def _case(disc, level, function, precision=None, marks=()):
+    """One contract job; a precision of None leaves --precision, and the
+    test id, at the CLI default."""
+    suffix = "" if precision is None else f"-{precision}"
+    return pytest.param(disc, level, function, precision, marks=marks,
+                        id=f"{disc}-{level}-{function}{suffix}")
+
+
 # Prefixes of the draw for the slower sweeps keep the test within seconds;
 # level-10 rr, where most cells share a reduced point, takes the whole draw;
 # (-783, 1, j) exits 3 on the value certificate.
 _CONTRACT_CASES = (
-    [(d, 5, "rogers-ramanujan") for d in _SMALL_DRAW[:8]]
-    + [(d, 10, "rogers-ramanujan") for d in _SMALL_DRAW]
-    + [(d, 7, "klein-quotient:1/7,0|2/7,0") for d in _SMALL_DRAW[:3]]
-    + [(d, 5, "j") for d in _SMALL_DRAW[:3]]
-    + [pytest.param(d, 1, "j", marks=pytest.mark.xfail(
-           strict=True, reason="ROADMAP item 2: PoleError on finite values"))
-       if d in _J_POLE_ERRORS else (d, 1, "j")
+    [_case(d, 5, "rogers-ramanujan") for d in _SMALL_DRAW[:8]]
+    + [_case(d, 10, "rogers-ramanujan") for d in _SMALL_DRAW]
+    + [_case(d, 7, "klein-quotient:1/7,0|2/7,0") for d in _SMALL_DRAW[:3]]
+    + [_case(d, 5, "j") for d in _SMALL_DRAW[:3]]
+    + [_case(d, 1, "j", marks=_POLE_ERROR if d in _J_POLE_ERRORS else ())
        for d in _discriminant_draw(-3000, 30)]
+    + [_case(-84, 5, "rogers-ramanujan", 16, _POLE_ERROR),
+       _case(-84, 7, "klein-quotient:1/7,0|2/7,0", 16, _POLE_ERROR),
+       _case(-84, 7, "klein-quotient:1/7,0|2/7,0", 31, _POLE_ERROR),
+       _case(-84, 5, "j", 64, _POLE_ERROR)]
 )
 _CERTIFICATE_FAILURE = re.compile(
     r"last failure: (rounding residual|value residual"
     r"|polynomial is not the \d+-th power|degree \d+ is not a multiple)")
 
 
-@pytest.mark.parametrize("disc, level, function", _CONTRACT_CASES)
-def test_exit_code_contract_at_the_cli_defaults(capsys, disc, level, function):
-    """A valid job at the default precision certifies its polynomial, or
-    exits 3 naming the certificate that failed last; never 4.  A certified
-    j polynomial splits at the split primes of its class field (the rr and
-    Klein ones, of degree up to 180, would add about 1 s to the sweep)."""
+@pytest.mark.parametrize("disc, level, function, precision", _CONTRACT_CASES)
+def test_exit_code_contract_at_the_cli_defaults(capsys, disc, level, function, precision):
+    """A valid job, at the default precision or at the valid one its case
+    names, certifies its polynomial, or exits 3 naming the certificate that
+    failed last; never 4.  A certified j polynomial splits at the split
+    primes of its class field (the rr and Klein ones, of degree up to 180,
+    would add about 1 s to the sweep)."""
+    bits = () if precision is None else ("--precision", str(precision))
     rc, out, err = run_cli(capsys, "compute", "--disc", str(disc), "--level",
-                           str(level), "--function", function, "--format", "json")
+                           str(level), "--function", function, "--format", "json",
+                           *bits)
     assert rc in (0, 3), err
     if rc == 3:
         assert _CERTIFICATE_FAILURE.search(err), err

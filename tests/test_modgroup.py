@@ -18,7 +18,7 @@ from classpoly.modgroup import (
     normalize_vector,
     translation,
 )
-from classpoly.quadforms import fundamental_domain_reduce
+from classpoly.quadforms import form_of_point, reduce_form
 
 from _oracles import coset_count_formula, in_pm_gamma1, index_of_column, random_sl2
 
@@ -203,7 +203,8 @@ def test_min_and_max_tables_cover_the_same_cosets():
 def test_reduce_leaves_interior_points_alone():
     with mp.workprec(192):
         z = mpc("0.21", "1.3")
-        z_star, gamma = fundamental_domain_reduce(z)
+        reduced, gamma = reduce_form(form_of_point(z))
+        z_star = reduced.to_mpc()
         assert gamma == IDENTITY
         assert z_star == z
 
@@ -211,7 +212,8 @@ def test_reduce_leaves_interior_points_alone():
 def test_reduce_pure_translation():
     with mp.workprec(192):
         z = mpc("0.21", "1.3") + 5
-        z_star, gamma = fundamental_domain_reduce(z)
+        reduced, gamma = reduce_form(form_of_point(z))
+        z_star = reduced.to_mpc()
         assert gamma == translation(5)
         assert abs(z_star - mpc("0.21", "1.3")) < mpf(2) ** -150
 
@@ -223,7 +225,8 @@ def test_reduce_random_orbit_returns_home():
         for _ in range(40):
             g = random_sl2(rng, 12)
             moved = mobius_apply(g, home)
-            z_star, gamma = fundamental_domain_reduce(moved)
+            reduced, gamma = reduce_form(form_of_point(moved))
+            z_star = reduced.to_mpc()
             assert abs(z_star - home) < mpf(2) ** -180
             # gamma carries the reduced point back: moved = gamma z_star
             assert abs(mobius_apply(gamma, z_star) - moved) < mpf(2) ** -180
@@ -235,7 +238,7 @@ def test_reduce_output_is_in_the_fundamental_domain():
         tol = mpf(2) ** -90
         for _ in range(60):
             z = mpc(rng.uniform(-8, 8), rng.uniform(0.002, 3.0))
-            z_star, _ = fundamental_domain_reduce(z)
+            z_star = reduce_form(form_of_point(z))[0].to_mpc()
             assert abs(z_star.real) <= mpf("0.5") + tol
             assert abs(z_star) >= 1 - tol
             assert z_star.imag >= mp.sqrt(3) / 2 - tol
@@ -243,11 +246,11 @@ def test_reduce_output_is_in_the_fundamental_domain():
 
 def test_reduce_rejects_bad_points():
     with pytest.raises(ValueError):
-        fundamental_domain_reduce(mpc(0, -1))
+        form_of_point(mpc(0, -1))
 
 
 def test_reduce_takes_a_large_translation_in_one_step():
     with mp.workprec(192):
-        z_star, gamma = fundamental_domain_reduce(mpc(10 ** 7, 1))
+        reduced, gamma = reduce_form(form_of_point(mpc(10 ** 7, 1)))
         assert gamma == translation(10 ** 7)
-        assert z_star == mpc(0, 1)
+        assert reduced.to_mpc() == mpc(0, 1)

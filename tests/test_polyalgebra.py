@@ -60,6 +60,8 @@ def test_mul_and_pow():
     assert x_minus_1 * x_plus_1 == P(1, 0, -1)
     assert x_minus_1 * 3 == P(3, -3)
     assert 3 * x_minus_1 == P(3, -3)
+    zero = IntPolynomial(())
+    assert zero * x_minus_1 == x_minus_1 * zero == zero * zero == zero
     assert x_minus_1 ** 3 == P(1, -3, 3, -1)
     assert x_minus_1 ** 0 == P(1)
     with pytest.raises(ValueError):
