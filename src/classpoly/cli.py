@@ -267,33 +267,6 @@ def _cmd_validate(args, point: mpc, cfg: PrecisionConfig) -> int:
 # table
 # ----------------------------------------------------------------------
 
-# One grid cell of the JSON document, laid out as json.dumps(indent=2) lays
-# it out at its depth; the cells are spliced into the "grid" slot.
-_JSON_CELL = (
-    "      {\n"
-    '        "i": %d,\n'
-    '        "k": %d,\n'
-    '        "form": [\n'
-    "          %d,\n"
-    "          %d,\n"
-    "          %d\n"
-    "        ],\n"
-    '        "passes_filter": %s\n'
-    "      }"
-)
-
-
-def _json_cell(i, k, f, p) -> str:
-    return _JSON_CELL % (i, k, *f, "true" if p else "false")
-
-
-def _text_cell(i, k, f, p) -> str:
-    return (
-        f"  (i={i}, k={k}) {FORM_TEXT % f:30s}"
-        f" {'pass' if p else 'skip (leading coeff shares a factor)'}\n"
-    )
-
-
 def _table_inputs(args):
     order = CMOrder.from_discriminant(args.disc)
     reject_extra_units(order)
@@ -301,13 +274,34 @@ def _table_inputs(args):
 
 
 def _cmd_table(args, order: CMOrder, table) -> int:
+    """Print the class data and the (form, coset) grid.  Each walk_grid row
+    becomes one string, from pieces built once per coset and once per form;
+    the grid count is checked before anything is written.  A JSON cell is
+    laid out as json.dumps(indent=2) lays it out at its depth."""
     forms = reduced_forms(order.disc)
     cartan = cartan_order(order, args.level)
-    cell = _json_cell if args.format == "json" else _text_cell
+    cosets = range(table.size())
+    if args.format == "json":
+        k_parts = [f'        "k": {k},\n        "form": [\n          ' for k in cosets]
+        verdicts = ('\n        ],\n        "passes_filter": false\n      }',
+                    '\n        ],\n        "passes_filter": true\n      }')
+        sep = ",\n"
+    else:
+        k_parts = [f"k={k}) " for k in cosets]
+        verdicts = (" skip (leading coeff shares a factor)\n", " pass\n")
+        sep = ""
     rows, passing = [], 0
-    for i, k, _, f, p in walk_grid(forms, table, args.level):
-        rows.append(cell(i, k, f, p))
-        passing += p
+    for i, a1, b1, c1, passes in walk_grid(forms, table, args.level):
+        if args.format == "json":
+            lead = f'      {{\n        "i": {i},\n'
+            row = [f"{lead}{kp}{a},\n          {b},\n          {c}{verdicts[p]}"
+                   for kp, a, b, c, p in zip(k_parts, a1, b1, c1, passes)]
+        else:
+            lead = f"  (i={i}, "
+            row = [f"{lead}{kp}{(FORM_TEXT % (a, b, c)).ljust(30)}{verdicts[p]}"
+                   for kp, a, b, c, p in zip(k_parts, a1, b1, c1, passes)]
+        rows.append(sep.join(row))
+        passing += sum(passes)
     if len(forms) * cartan.quotient != passing:
         raise CrossCheckError(
             f"grid count {passing} disagrees with {len(forms)} x {cartan.quotient}"
@@ -326,8 +320,7 @@ def _cmd_table(args, order: CMOrder, table) -> int:
         }
         head, tail = json.dumps(doc, indent=2).split('"grid": null')
         w(head + '"grid": [\n')
-        w(",\n".join(rows))
-        w("\n    ]" + tail + "\n")
+        tail = "\n    ]" + tail + "\n"
     else:
         w(f"discriminant {args.disc}, level {args.level}\n")
         w(f"reduced forms ({len(forms)}):\n")
@@ -340,8 +333,13 @@ def _cmd_table(args, order: CMOrder, table) -> int:
             f"unit group {cartan.matrix_count} / {cartan.torsion_count}"
             f" = {cartan.quotient}\n"
         )
-        w(f"grid ({len(rows)} pairs, {passing} pass the filter):\n")
-        w("".join(rows))
+        w(f"grid ({len(forms) * table.size()} pairs, {passing} pass the filter):\n")
+        tail = ""
+    w(rows[0])
+    for row in rows[1:]:
+        w(sep)
+        w(row)
+    w(tail)
     return 0
 
 

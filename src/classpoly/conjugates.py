@@ -122,22 +122,23 @@ class ClassFieldJob:
 
 
 def walk_grid(forms: list, table: CosetTable, level: int):
-    """Every (form, coset) cell of the grid, in order: (i, k, gamma, the
-    coefficients (a', b', c') of the form transformed by gamma, whether a' is
-    invertible mod the level).  The nine products of each rep are taken once,
-    so a cell is three dot products with (a, b, c).  Cells are not validated:
-    each form and each rep was validated once, and a determinant-1
-    substitution keeps the discriminant and primitivity."""
-    weights = [(g, g.a * g.a, g.a * g.c, g.c * g.c,
-                2 * g.a * g.b, g.a * g.d + g.b * g.c, 2 * g.c * g.d,
-                g.b * g.b, g.b * g.d, g.d * g.d) for g in table.reps]
+    """The (form, coset) grid one form row at a time: (i, a', b', c', passes),
+    lists over k of the coefficients of form i transformed by table.reps[k]
+    and of whether a'[k] is invertible mod the level.  The nine products of
+    each rep are taken once, so a cell is three dot products with (a, b, c),
+    and the verdict is read from a table of the units mod the level.  Cells
+    are not validated: each form and each rep was validated once, and a
+    determinant-1 substitution keeps the discriminant and primitivity."""
+    wa = [(g.a * g.a, g.a * g.c, g.c * g.c) for g in table.reps]
+    wb = [(2 * g.a * g.b, g.a * g.d + g.b * g.c, 2 * g.c * g.d) for g in table.reps]
+    wc = [(g.b * g.b, g.b * g.d, g.d * g.d) for g in table.reps]
+    is_unit = [gcd(x, level) == 1 for x in range(level)]
     for i, form in enumerate(forms):
         a, b, c = form.a, form.b, form.c
-        for k, (gamma, aa, ab, ac, ba, bb, bc, ca, cb, cc) in enumerate(weights):
-            a1 = a * aa + b * ab + c * ac
-            b1 = a * ba + b * bb + c * bc
-            c1 = a * ca + b * cb + c * cc
-            yield i, k, gamma, (a1, b1, c1), gcd(a1, level) == 1
+        a1 = [a * x + b * y + c * z for x, y, z in wa]
+        b1 = [a * x + b * y + c * z for x, y, z in wb]
+        c1 = [a * x + b * y + c * z for x, y, z in wc]
+        yield i, a1, b1, c1, [is_unit[x % level] for x in a1]
 
 
 def _in_pm_gamma1(gamma: UnimodularMatrix, level: int) -> bool:
@@ -150,11 +151,11 @@ def _in_pm_gamma1(gamma: UnimodularMatrix, level: int) -> bool:
 
 def build_extended_classes(order: CMOrder, level: int, table: CosetTable | None = None,
                            forms: list | None = None) -> list:
-    """One unevaluated ConjugateDatum per grid cell that passes the filter;
-    these hit every extended class exactly once.  The twist is built over Z
-    with u = -a^-1 (b + b0)/2 mod the level, (a, b) from the cell's form and
-    b0 = order.b.  Exactly one class, the principal form at a coset of
-    +-Gamma_1(level), is the identity class."""
+    """One unevaluated ConjugateDatum per grid cell that passes the filter,
+    read off walk_grid's rows; these hit every extended class exactly once.
+    The twist is built over Z with u = -a^-1 (b + b0)/2 mod the level, (a, b)
+    from the cell's form and b0 = order.b.  Exactly one class, the principal
+    form at a coset of +-Gamma_1(level), is the identity class."""
     if table is None:
         table = enumerate_cosets(level)
     if forms is None:
@@ -162,24 +163,25 @@ def build_extended_classes(order: CMOrder, level: int, table: CosetTable | None 
     mirrored = [QuadraticForm(f.a, -f.b, f.c) for f in forms]
     principal = order.principal_form()
     data = []
-    for i, k, gamma, (a, b, c), passes in walk_grid(forms, table, level):
-        if not passes:
-            continue
-        if (b + order.b) % 2:
-            raise CrossCheckError("form and order middle coefficients differ mod 2")
-        a_inv = pow(a, -1, level)
-        lifted = translation((-a_inv * ((b + order.b) // 2)) % level) @ gamma.hat()
-        top, bottom = lifted.mod(level)
-        data.append(ConjugateDatum(
-            i=i,
-            k=k,
-            gamma=gamma,
-            form=QuadraticForm(a, b, c),
-            alpha=(top, tuple(a_inv * x % level for x in bottom)),
-            lifted=lifted,
-            eval_point=mirrored[i],
-            identity_class=forms[i] == principal and _in_pm_gamma1(gamma, level),
-        ))
+    for i, a1, b1, c1, passes in walk_grid(forms, table, level):
+        for k, (gamma, a, b, c, p) in enumerate(zip(table.reps, a1, b1, c1, passes)):
+            if not p:
+                continue
+            if (b + order.b) % 2:
+                raise CrossCheckError("form and order middle coefficients differ mod 2")
+            a_inv = pow(a, -1, level)
+            lifted = translation((-a_inv * ((b + order.b) // 2)) % level) @ gamma.hat()
+            top, bottom = lifted.mod(level)
+            data.append(ConjugateDatum(
+                i=i,
+                k=k,
+                gamma=gamma,
+                form=QuadraticForm(a, b, c),
+                alpha=(top, tuple(a_inv * x % level for x in bottom)),
+                lifted=lifted,
+                eval_point=mirrored[i],
+                identity_class=forms[i] == principal and _in_pm_gamma1(gamma, level),
+            ))
     identity_hits = sum(d.identity_class for d in data)
     if identity_hits != 1:
         raise CrossCheckError(

@@ -80,11 +80,17 @@ def test_walk_grid_matches_transform_cell_by_cell(disc, level, tie_break):
     order = CMOrder.from_discriminant(disc)
     forms = reduced_forms(disc)
     table = enumerate_cosets(level, tie_break)
-    cells = list(walk_grid(forms, table, level))
+    rows = list(walk_grid(forms, table, level))
+    assert [row[0] for row in rows] == list(range(len(forms)))
+    cells = [
+        (i, k, (a1[k], b1[k], c1[k]), passes[k])
+        for i, a1, b1, c1, passes in rows
+        for k in range(table.size())
+    ]
+    assert all(len(part) == table.size() for row in rows for part in row[1:])
     assert len(cells) == len(forms) * table.size()
-    for i, k, gamma, coeffs, passes in cells:
-        assert gamma is table.reps[k]
-        assert coeffs == forms[i].transform(gamma).coefficients()
+    for i, k, coeffs, passes in cells:
+        assert coeffs == forms[i].transform(table.reps[k]).coefficients()
         assert passes == (gcd(coeffs[0], level) == 1)
     reps = build_extended_classes(order, level, table)
     assert len(reps) == sum(p for *_, p in cells)
