@@ -6,10 +6,12 @@ entry's evaluator, which takes its series only at a point reduced to the
 fundamental domain (by Gauss reduction: every point is a form, a number the
 root of one exactly), carries the value back by the function's
 transformation law, and returns the mpc it computed there, its parts at the
-full working precision.  One kernel, _theta_ctx,
-sums the Jacobi triple product once, in fixed point: the level-5 value is
-q^(1/5) theta(q^5, q) / theta(q^5, q^2), j is Weber's (f^24 + 16)^3 / f^24
-with f^24 = 2^12 q (P(q^2)/P(q))^24 and P(q) = theta(q^3, q), and a Klein
+full working precision.  One kernel, _theta_core,
+sums the Jacobi triple product on Gaussian integers at its caller's scale:
+the level-5 value is q^(1/5) theta(q^5, q) / theta(q^5, q^2) through the
+kernel's mpc wrapper _theta_ctx, j is Weber's (f^24 + 16)^3 / f^24 with
+f^24 = 2^12 q (P(q^2)/P(q))^24 and P(q) = theta(q^3, q), all but the last
+steps on integers, one series per mirror pair (a, +-b, c), and a Klein
 form at integer parameters a / n, moved into [0, n)^2 by its transformation
 laws, is a prefactor times theta(q, e^(2 pi i (a1 tau + a2) / n)) / P(q)^3,
 the prefactors of a quotient gathered into one exponential; the level-5 value
@@ -97,20 +99,53 @@ def _share(memo, key, compute):
 # working-precision context)
 # ----------------------------------------------------------------------
 
+def _theta_core(q, x, y, shift: int, cut: int):
+    """The Jacobi triple-product series sum_m (-1)^m q^(m(m-1)/2) x^m, on
+    Gaussian integers at scale 2^shift: q, x and y = q/x are (re, im) pairs
+    of ints, and so is the sum returned.  Summed outward from m = 0, each
+    step and term a Gaussian-integer product shifted back by shift bits,
+    rounded to nearest; each side stops at its first term below cut units,
+    tested exactly on re^2 + im^2 against cut^2.  The caller picks shift and
+    cut and owns the error bound (_theta_ctx, _j_series)."""
+    qr, qi = q
+    half = 1 << (shift - 1)
+    cut2 = cut * cut
+    total_re, total_im = 1 << shift, 0
+    for sr, si in (x, y):  # -t_1 and -t_(-1); each later step gains a q
+        tr, ti = -sr, -si
+        while abs(tr) >= cut or abs(ti) >= cut or tr * tr + ti * ti >= cut2:
+            total_re += tr
+            total_im += ti
+            sr, si = ((sr * qr - si * qi + half) >> shift,
+                      (sr * qi + si * qr + half) >> shift)
+            tr, ti = (-((tr * sr - ti * si + half) >> shift),
+                      -((tr * si + ti * sr + half) >> shift))
+    return total_re, total_im
+
+
+def _fixed(z: mpc, shift: int):
+    """z as a Gaussian integer at scale 2^shift."""
+    return to_fixed(z.real._mpf_, shift), to_fixed(z.imag._mpf_, shift)
+
+
+def _from_fixed(re: int, im: int, shift: int) -> mpc:
+    """(re + i im) / 2^shift, each part rounded to the working precision."""
+    return mp.make_mpc((from_man_exp(re, -shift, mp.prec, round_nearest),
+                        from_man_exp(im, -shift, mp.prec, round_nearest)))
+
+
 def _theta_ctx(q: mpc, x: mpc, label: str) -> mpc:
     """The Jacobi triple product as a series,
 
         prod (1-q^n)(1-q^(n-1) x)(1-q^n/x) = sum_m (-1)^m q^(m(m-1)/2) x^m,
 
-    summed outward from m = 0 in fixed point: q, x and q/x become Gaussian
-    integers at scale 2^F, and each step and term is a Gaussian-integer
-    product shifted back by F bits, rounded to nearest.
+    summed by _theta_core in fixed point: q, x and q/x become Gaussian
+    integers at scale 2^F.
 
     With |q| < 1 and |q| <= |x| <= 1, every step past m = +-1 shrinks the
     term by at least |q|, so stopping each side at its first term below
     res (1-|q|)/4, with res = 2^-prec the working resolution, leaves a tail
-    below res/4 per side; the test is exact, on re^2 + im^2 against the cut
-    squared.  Since |t_m| <= |q|^(m(m-1)/2), no side runs past
+    below res/4 per side.  Since |t_m| <= |q|^(m(m-1)/2), no side runs past
 
         n <= sqrt(2 (prec + log2(8/(1-|q|))) / log2(1/|q|)) + 2
 
@@ -123,7 +158,7 @@ def _theta_ctx(q: mpc, x: mpc, label: str) -> mpc:
 
     No term exceeds 1, so a small sum has lost log2(1/|sum|) bits.  The
     evaluators sum only at reduced points, where |q| <= e^(-pi sqrt 3): the
-    factors 1 - q^k of j and the level-5 value are near 1, and of a Klein
+    factors 1 - q^k of the level-5 value are near 1, and of a Klein
     form's, at x = q_a = e^(2 pi i (a1 z + a2) / n) with a in [0, n)^2, only
     one of 1 - q_a and 1 - q/q_a can be small, since |q_a| |q/q_a| = |q|; it
     is at least 2 sin(pi/n) if a1 = 0, else 1 - e^(-pi sqrt 3 / n), about
@@ -141,25 +176,11 @@ def _theta_ctx(q: mpc, x: mpc, label: str) -> mpc:
     side = int(math.sqrt(2 * (prec + 3 + gap_bits) / slope)) + 2
     guard = 4 * side.bit_length() + 6
     shift = prec + guard
-    half = 1 << (shift - 1)
     with mp.workprec(shift):
         y = q / x
-    qr, qi = to_fixed(q.real._mpf_, shift), to_fixed(q.imag._mpf_, shift)
     cut = to_fixed(gap._mpf_, guard - 2)  # res (1-|q|)/4, in units
-    cut2 = cut * cut
-    total_re, total_im = 1 << shift, 0
-    for step in (x, y):  # -t_1 and -t_(-1); each later step gains a q
-        sr, si = to_fixed(step.real._mpf_, shift), to_fixed(step.imag._mpf_, shift)
-        tr, ti = -sr, -si
-        while abs(tr) >= cut or abs(ti) >= cut or tr * tr + ti * ti >= cut2:
-            total_re += tr
-            total_im += ti
-            sr, si = ((sr * qr - si * qi + half) >> shift,
-                      (sr * qi + si * qr + half) >> shift)
-            tr, ti = (-((tr * sr - ti * si + half) >> shift),
-                      -((tr * si + ti * sr + half) >> shift))
-    total = mp.make_mpc((from_man_exp(total_re, -shift, prec, round_nearest),
-                         from_man_exp(total_im, -shift, prec, round_nearest)))
+    total = _from_fixed(*_theta_core(_fixed(q, shift), _fixed(x, shift), _fixed(y, shift),
+                                     shift, cut), shift)
     lost = -mp.mag(total)  # bits cancelled away
     if lost > GUARD_BITS // 4:
         raise NonConvergenceError(f"{label}: the theta series lost {lost} bits to cancellation")
@@ -214,16 +235,15 @@ def _replay_value(gamma, value: mpc, memo) -> mpc:
     def turned(k, x, y):  # zeta^k (x + i y)
         return (reals[k] * x - imags[k] * y) >> shift, (reals[k] * y + imags[k] * x) >> shift
 
-    ur, ui = turned(gamma.d * inverse % 5, to_fixed(value.real._mpf_, shift),
-                    to_fixed(value.imag._mpf_, shift))
+    ur, ui = turned(gamma.d * inverse % 5, *_fixed(value, shift))
     if c in (1, 4):
         (nr, ni), (er, ei) = (one - (phi * ur >> shift), -(phi * ui >> shift)), (phi + ur, ui)
     else:
         (nr, ni), (er, ei) = (phi + ur, ui), ((phi * ur >> shift) - one, phi * ui >> shift)
     nr, ni = turned(gamma.a * inverse % 5, nr, ni)
     norm = er * er + ei * ei
-    parts = (((nr * er + ni * ei) << shift) // norm, ((ni * er - nr * ei) << shift) // norm)
-    return mp.make_mpc(tuple(from_man_exp(x, -shift, mp.prec, round_nearest) for x in parts))
+    return _from_fixed(((nr * er + ni * ei) << shift) // norm,
+                       ((ni * er - nr * ei) << shift) // norm, shift)
 
 
 def _rr_ctx(tau, memo) -> mpc:
@@ -236,21 +256,66 @@ def _rr_ctx(tau, memo) -> mpc:
 
 
 def _j_ctx(tau, memo) -> mpc:
-    """Klein j by Weber's (f^24 + 16)^3 / f^24, where f = f2 and
-    f^24 = 2^12 q (P(q^2) / P(q))^24 with P(q) = prod (1-q^n) = theta(q^3, q),
-    at the reduced point of tau (exact invariance), the whole value shared in memo."""
+    """Klein j at the reduced point of tau (exact invariance), the whole
+    value shared in memo.  j has rational Fourier coefficients, so
+    j(-conj z) = conj j(z): a reduced (a, b, c) with b < 0, whose mirror
+    (a, -b, c) is reduced too since |b| < a < c, takes the exact conj of its
+    mirror's value, and each mirror pair sums one series."""
     point, _ = _reduce_point(tau)
+    if point.b < 0:
+        mirror = QuadraticForm(point.a, -point.b, point.c)
+        return mp.conj(_share(memo, (mirror, "j"), lambda: _j_series(mirror.to_mpc())))
     return _share(memo, (point, "j"), lambda: _j_series(point.to_mpc()))
 
 
 def _j_series(z: mpc) -> mpc:
+    """j at a reduced point z by Weber's (f^24 + 16)^3 / f^24, where f = f2
+    and f^24 = 2^12 q R with R = (P(q^2) / P(q))^24 and P(q) = prod (1-q^n)
+    = theta(q^3, q).  R is built on Gaussian integers at scale 2^F: q once
+    from its mpc, q^2, q^3, q^4 and q^6 as rounded products, P(q) and P(q^2)
+    by _theta_core, then their quotient and its 24th power.  Only
+    f^24 = 4096 q R and the last step stay in mpc, so that q keeps its
+    relative precision where it is far below 2^-F (about 2^-290 at the
+    reduced point of (-4079, 1)).
+
+    At a reduced point |q| <= e^(-pi sqrt 3) < 1/200, so |P(q) - 1| <=
+    |q| / (1 - |q|) < 0.01, and the same for P(q^2): neither sum can cancel,
+    so neither needs _theta_ctx's cancellation test.  Both sums run at
+    s = prec + 12 bits, prec the working precision, with _theta_ctx's guard
+    and one bit more: their nome q^3 or q^6 is below 2^-23.5, so no side runs
+    past n = sqrt(2 (s + 3) / 23.5) + 2 terms; the cut res_s / 8 is below
+    _theta_ctx's res_s (1 - |q^3|) / 4; and the inputs, off by at most 2
+    units where its derivation allows 1, double its bound.  So each sum is
+    within 2^(1-s) (1 + |P|) < 2^-(prec+9) of P, their quotient within
+    2^-(prec+7) relatively, and its 24th power, which multiplies a relative
+    error by 24 and adds under 50 units of rounding, within 2^-(prec+2):
+    below the relative error that mp.expjpi leaves in q.
+    """
     q = mp.expjpi(2 * z)
-    q2 = q * q
-    ratio = _theta_ctx(q2 * q2 * q2, q2, "j") / _theta_ctx(q2 * q, q, "j")
-    f24 = ratio * ratio * ratio
-    for _ in range(3):  # products, not **: mpmath's high-precision pow is log/exp
-        f24 *= f24
-    f24 *= 4096 * q
+    inner = mp.prec + 12
+    side = int(math.sqrt(2 * (inner + 3) / 23.5)) + 2
+    guard = 4 * side.bit_length() + 7
+    shift = inner + guard
+    half = 1 << (shift - 1)
+
+    def times(x, y):
+        return ((x[0] * y[0] - x[1] * y[1] + half) >> shift,
+                (x[0] * y[1] + x[1] * y[0] + half) >> shift)
+
+    q1 = _fixed(q, shift)
+    q2 = times(q1, q1)
+    q3 = times(q2, q1)
+    q4 = times(q2, q2)
+    cut = 1 << (guard - 3)  # res_s / 8, in units
+    pr, pi = _theta_core(q3, q1, q2, shift, cut)  # P(q)
+    sr, si = _theta_core(times(q3, q3), q2, q4, shift, cut)  # P(q^2)
+    norm = pr * pr + pi * pi
+    ratio = (((sr * pr + si * pi) << shift) // norm, ((si * pr - sr * pi) << shift) // norm)
+    r = times(times(ratio, ratio), ratio)
+    for _ in range(3):
+        r = times(r, r)
+    f24 = 4096 * q * _from_fixed(*r, shift)
+    # products, not **: mpmath's high-precision pow is log/exp
     return (f24 + 16) * (f24 + 16) * (f24 + 16) / f24
 
 

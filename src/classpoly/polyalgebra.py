@@ -183,15 +183,16 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """For monic p = g^ell with g squarefree (the pipeline shape), returns g.
 
     In general returns p divided by gcd(p, p'), the squarefree kernel.  The
-    gcd is taken modulo a Mersenne prime P; only integers are used.  Its
+    gcd is taken modulo Mersenne primes P; only integers are used.  Its
     degree bounds that of the integer gcd from above, because p is monic, so
-    degree 0 proves p squarefree and p is returned unchanged.  Otherwise the
-    gcd is lifted to residues in (-P/2, P/2) and accepted only when it
-    divides both p and p' exactly over Z[x]: a common divisor at least as
-    large as the gcd is the gcd.  A rejected lift moves on to the next
-    prime.  The first prime exceeds twice the Mignotte bound
-    2^(deg p) * ||p||_2 on the coefficients of any factor of p, so one prime
-    suffices unless it divides a resultant of the factors of p.  Raises
+    degree 0 modulo any prime proves p squarefree and p is returned
+    unchanged.  The word-size 2^61 - 1 is tried first, as such a proof only.
+    Past it, the primes exceed twice the Mignotte bound 2^(deg p) * ||p||_2
+    on the coefficients of any factor of p: a gcd there is lifted to
+    residues in (-P/2, P/2) and accepted only when it divides both p and p'
+    exactly over Z[x], since a common divisor at least as large as the gcd
+    is the gcd.  A rejected lift moves on to the next prime; one suffices
+    unless it divides a resultant of the factors of p.  Raises
     ArithmeticError when no listed prime remains.
     """
     if p.is_zero():
@@ -201,13 +202,15 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     dp = p.derivative()
     norm_bits = (sum(c * c for c in p.coeffs).bit_length() + 1) // 2
     bound_bits = p.degree + norm_bits + 1
-    for e in _MERSENNE_EXPONENTS:
-        if e <= bound_bits:
+    for k, e in enumerate(_MERSENNE_EXPONENTS):
+        if k and e <= bound_bits:
             continue
         prime = (1 << e) - 1
         gcd_mod = _gcd_mod(p, dp, prime)
         if gcd_mod.degree == 0:
             return p
+        if e <= bound_bits:
+            continue  # the proof prime only: too small to lift from
         half = prime >> 1
         candidate = IntPolynomial(
             c - prime if c > half else c for c in gcd_mod.coeffs

@@ -345,15 +345,16 @@ def test_shared_series_give_the_values_of_single_point_calls(disc, level, functi
 
 
 def _count_theta_calls(monkeypatch):
-    """Record every modfunc._theta_ctx call from here on; returns the record."""
+    """Record every sum of the series kernel, modfunc._theta_core, from here
+    on; returns the record."""
     calls = []
-    theta = modfunc._theta_ctx
+    theta = modfunc._theta_core
 
     def counting(*args):
         calls.append(args)
         return theta(*args)
 
-    monkeypatch.setattr(modfunc, "_theta_ctx", counting)
+    monkeypatch.setattr(modfunc, "_theta_core", counting)
     return calls
 
 
@@ -361,18 +362,34 @@ def _count_theta_calls(monkeypatch):
     (-52, 5, "rogers-ramanujan", 256, 4),  # 24 cells on 2 reduced points
     (-52, 5, "j", 1024, 4),
     (-52, 5, _KLEIN_5, 320, 36),  # one theta per reduced point and moved pair
-    (-391, 1, "j", 256, 28),  # one cell per reduced point
+    (-391, 1, "j", 256, 16),  # 14 reduced points, 6 of them mirror pairs
 ])
 def test_each_series_is_summed_once_per_reduced_point(monkeypatch, disc, level,
                                                        function, bits, sums):
     """One compute_conjugates() sums each theta series once per reduced point,
-    and a second call sums them all again: nothing outlives the call."""
+    j once per mirror pair of them, and a second call sums them all again:
+    nothing outlives the call."""
     calls = _count_theta_calls(monkeypatch)
     job = ClassFieldJob.create(disc, level, function, bits)
     compute_conjugates(job)
     assert len(calls) == sums
     compute_conjugates(job)
     assert len(calls) == 2 * sums
+
+
+def test_j_at_a_mirror_form_is_the_conjugate_of_one_series(monkeypatch):
+    """The reduced (5, -3, 20) takes the exact conj of the value at its mirror
+    (5, 3, 20), and the two calls, sharing one memo, sum one j series."""
+    calls = _count_theta_calls(monkeypatch)
+    cfg, memo = PrecisionConfig(target_bits=256), {}
+    value = modfunc.eval_j(QuadraticForm(5, 3, 20), cfg, memo)
+    mirrored = modfunc.eval_j(QuadraticForm(5, -3, 20), cfg, memo)
+    with mp.workprec(cfg.working_bits):  # negation is exact at the value's precision
+        assert (mirrored.real, mirrored.imag) == (value.real, -value.imag)
+    assert value.imag != 0
+    assert len(calls) == 2
+    alone = modfunc.eval_j(QuadraticForm(5, -3, 20), cfg)
+    assert (alone.real, alone.imag) == (mirrored.real, mirrored.imag)
 
 
 def test_no_shared_series_outlive_a_failed_compute(monkeypatch):

@@ -531,6 +531,19 @@ def test_j_at_high_precision_where_q_is_largest(bits, where):
         assert abs(ours - ref) / abs(ref) < mpf(2) ** -(bits - 12)
 
 
+@pytest.mark.parametrize("bits", [256, 2048])
+@pytest.mark.parametrize("height", [40, 120])
+def test_j_where_q_is_far_below_the_working_resolution(bits, height):
+    """At Im tau = 40 and 120, |q| is about 2^-363 and 2^-1088 and |j| about
+    1/|q|: q is zero or short on the integer scale of j's series, so j is
+    right only if f^24 takes q from its mpc, at its full relative precision."""
+    tau = mpc("0.25", height)
+    ours = eval_j(tau, PrecisionConfig(target_bits=bits))
+    ref = j_reference(tau, bits + 40)
+    with mp.workprec(bits + 80):
+        assert abs(ours - ref) / abs(ref) < mpf(2) ** -(bits - 4)
+
+
 def test_j_full_modular_invariance_sample():
     rng = random.Random(32)
     with mp.workprec(256):

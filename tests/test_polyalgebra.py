@@ -273,12 +273,22 @@ def _record_primes(monkeypatch):
 
 def test_squarefree_part_of_a_power_of_the_hilbert_polynomial(monkeypatch):
     """H_{-52}^12 has 589-bit coefficients and its gcd with the derivative
-    is H^11; the first prime exceeds the Mignotte bound, so its lift is
-    the gcd at once."""
+    is H^11: the proof prime 2^61 - 1 sees that gcd, and the first prime
+    above the Mignotte bound lifts it at once."""
     hilbert = IntPolynomial(HILBERT_MINUS_52_ASC)
     primes = _record_primes(monkeypatch)
     assert squarefree_part(hilbert ** 12) == hilbert
-    assert primes == [2 ** 1279 - 1]
+    assert primes == [2 ** 61 - 1, 2 ** 1279 - 1]
+
+
+def test_squarefree_part_proves_a_squarefree_p_at_the_word_size_prime(monkeypatch):
+    """H_{-52} (x - 2^100) is squarefree with a Mignotte bound above 2^61:
+    its gcd with the derivative has degree 0 modulo 2^61 - 1, which is the
+    proof, and no larger prime is tried."""
+    p = IntPolynomial(HILBERT_MINUS_52_ASC) * P(1, -2 ** 100)
+    primes = _record_primes(monkeypatch)
+    assert squarefree_part(p) == p
+    assert primes == [2 ** 61 - 1]
 
 
 _M61 = 2 ** 61 - 1
